@@ -14,19 +14,15 @@ from .confactor import (
     applicable,
     count_split_pieces,
     residual,
-    split,
-    split_keep,
-    split_on_variable,
+    split_on_context,
     value_at,
 )
 from .counters import CostCounters, EliminationRecord
 from .engine_cve import (
     ContextualVE,
-    absorb,
     cve_query,
     incorporate_evidence,
     sum_out_body_occurrences,
-    sum_out_table_occurrences,
 )
 from .engine_tve import GroupedFactor, TreeVE, tve_multiply, tve_query
 from .engine_ve import TabularVE, multiply_factors, ve_query
@@ -96,7 +92,6 @@ __all__ = [
     "TabularVE",
     "TreeVE",
     "ZeroEvidenceError",
-    "absorb",
     "add_tables",
     "applicable",
     "compatible",
@@ -121,12 +116,9 @@ __all__ = [
     "run_campaign",
     "save",
     "set_table",
-    "split",
-    "split_keep",
-    "split_on_variable",
+    "split_on_context",
     "sum_out",
     "sum_out_body_occurrences",
-    "sum_out_table_occurrences",
     "tve_multiply",
     "tve_query",
     "value_at",

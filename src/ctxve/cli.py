@@ -50,12 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--engine", default="cve", choices=["ve", "cve", "tve", "enum"]
     )
     p.add_argument("--order", default=None, help="comma-separated elimination order")
-    p.add_argument(
-        "--heuristic",
-        default="min-size",
-        choices=["min-size"],
-        help="order heuristic when --order is not given",
-    )
     p.add_argument("--stats", action="store_true", help="print cost counters to stderr")
     p.add_argument(
         "--audit", action="store_true", help="check engine invariants while running"

@@ -1,7 +1,11 @@
-"""Contextual factors and the context-aware splitting primitives.
+"""Contextual factors and the two primitives contextual elimination rests on.
 
 A confactor pairs a body context with a table over disjoint variables; it is
-a partial function that only has a value where its body holds.  Engines track
+a partial function that only has a value where its body holds.
+:func:`split_on_context` splits a body and its tables on a context, and
+:func:`tile` places tables in the blocks of a dense array where their bodies
+hold; every engine, the network's dense expansion and the posterior
+extraction go through these two.  Engines track
 two bookkeeping sets per confactor: ``for_vars``, the variables whose
 conditional-probability family this confactor descends from, and
 ``pure_for``, the subset for which summing the variable out of the table is
@@ -13,11 +17,14 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .tables import (
     Context,
     DomainCatalog,
     Table,
     VariableId,
+    _broadcast_to,
     compatible,
     set_table,
 )
@@ -90,81 +97,47 @@ def value_at(r: Confactor, c: Context) -> float:
     return float(r.table.array[tuple(idx)])
 
 
-def split_on_variable(
-    catalog: DomainCatalog, r: Confactor, y: VariableId, counters=None
-) -> list[Confactor]:
-    """Replace ``r`` by one confactor per value of ``y``.
-
-    If ``y`` occurs in the table, each piece selects the matching slice;
-    otherwise the table is shared unchanged.  Bookkeeping sets are copied to
-    every piece.
-    """
-    if y in r.body:
-        raise ValueError("split on assigned variable")
-    dom = catalog.size(y)
-    if counters is not None:
-        counters.splits += dom - 1
-    pieces = []
-    for val in range(dom):
-        body = r.body.with_assignment(y, val)
-        table = set_table(r.table, Context([(y, val)]))
-        pieces.append(Confactor(body, table, r.for_vars, r.pure_for))
-    return pieces
-
-
-def split_variable_order(
-    r_body: Context, table_vars: Iterable[VariableId], c: Context
-) -> list[VariableId]:
-    """Order in which a confactor is split on the variables of ``c``.
-
-    Variables appearing in the table come first (splitting them shrinks the
-    tables that later splits copy), then the remaining ones; both groups in
-    ascending variable id.
-    """
-    in_table = set(table_vars)
-    todo = [v for v in c.vars() if v not in r_body]
-    first = [v for v in todo if v in in_table]
-    rest = [v for v in todo if v not in in_table]
-    return first + rest
-
-
-def _split_on_context(
+def split_on_context(
     catalog: DomainCatalog,
-    r: Confactor,
+    body: Context,
+    tables: list[Table],
     c: Context,
     counters=None,
     split_order: Optional[Sequence[VariableId]] = None,
-) -> tuple[list[Confactor], Confactor]:
-    if not compatible(r.body, c):
-        raise ValueError("incompatible contexts")
-    order = (
-        list(split_order)
-        if split_order is not None
-        else split_variable_order(r.body, r.table.vars, c)
-    )
-    expected = {v for v in c.vars() if v not in r.body}
-    if set(order) != expected:
-        raise ValueError("split order must cover exactly the new variables of the context")
-    residuals: list[Confactor] = []
-    keep = r
+) -> tuple[list[tuple[Context, list[Table]]], tuple[Context, list[Table]]]:
+    """Split the piece ``(body, tables)`` on each variable ``c`` assigns and
+    ``body`` does not; ``tables`` is a lazy product sharing one body.
+
+    Each split on ``v`` replaces the current piece by one piece per value of
+    ``v``: the body gains ``v = value`` and every table is sliced at it.  The
+    piece matching ``c`` is split further; the others are residuals.  By
+    default variables occurring in a table come first (splitting them
+    shrinks the tables that later splits copy), then the rest, both in
+    ascending id.  Returns the residual pieces and the kept piece.
+    """
+    todo = [v for v in c.vars() if v not in body]
+    if split_order is None:
+        in_table = {v for t in tables for v in t.vars}
+        order = [v for v in todo if v in in_table] + [v for v in todo if v not in in_table]
+    else:
+        order = list(split_order)
+        if sorted(order) != todo:
+            raise ValueError("split order must cover exactly the new variables of the context")
+    residuals: list[tuple[Context, list[Table]]] = []
     for v in order:
         target = c.get(v)
         dom = catalog.size(v)
         if counters is not None:
             counters.splits += dom - 1
         for val in range(dom):
-            piece = Confactor(
-                keep.body.with_assignment(v, val),
-                set_table(keep.table, Context([(v, val)])),
-                keep.for_vars,
-                keep.pure_for,
-            )
+            point = Context([(v, val)])
+            piece = (body.with_assignment(v, val), [set_table(t, point) for t in tables])
             if val == target:
-                next_keep = piece
+                kept = piece
             else:
                 residuals.append(piece)
-        keep = next_keep
-    return residuals, keep
+        body, tables = kept
+    return residuals, (body, tables)
 
 
 def residual(
@@ -177,17 +150,13 @@ def residual(
     """The split pieces of ``r`` whose bodies are incompatible with ``c``.
 
     Produced by splitting sequentially on each variable of ``c`` not yet
-    assigned in the body; together with :func:`split_keep` the pieces
-    partition the coverage of ``r``.
+    assigned in the body; together with the kept piece of
+    :func:`split_on_context` the pieces partition the coverage of ``r``.
     """
-    residuals, _ = _split_on_context(catalog, r, c, counters, split_order)
-    return residuals
-
-
-def split_keep(catalog: DomainCatalog, r: Confactor, c: Context) -> Confactor:
-    """The unique non-residual piece of splitting ``r`` on ``c``."""
-    _, keep = _split_on_context(catalog, r, c, counters=None)
-    return keep
+    if not compatible(r.body, c):
+        raise ValueError("incompatible contexts")
+    residuals, _ = split_on_context(catalog, r.body, [r.table], c, counters, split_order)
+    return [Confactor(body, t, r.for_vars, r.pure_for) for body, (t,) in residuals]
 
 
 def count_split_pieces(catalog: DomainCatalog, r: Confactor, c: Context) -> int:
@@ -199,11 +168,20 @@ def count_split_pieces(catalog: DomainCatalog, r: Confactor, c: Context) -> int:
     return sum(catalog.size(v) - 1 for v in c.vars() if v not in r.body)
 
 
-def split(
-    catalog: DomainCatalog, r: Confactor, c: Context, counters=None
-) -> list[Confactor]:
-    """Full split of ``r`` on ``c``: residual pieces plus the kept piece."""
-    residuals, keep = _split_on_context(catalog, r, c, counters)
-    return residuals + [keep]
+def tile(
+    items: Iterable[Confactor],
+    scope: Sequence[VariableId],
+    catalog: DomainCatalog,
+    fill: float,
+) -> np.ndarray:
+    """Dense array over ``scope`` holding each confactor's table in the
+    block where its body holds, and ``fill`` everywhere else.
 
-
+    Every body and table variable must be in ``scope``; where bodies
+    overlap, the later confactor wins.
+    """
+    arr = np.full(catalog.shape(scope), fill)
+    for r in items:
+        index = tuple(slice(None) if (val := r.body.get(v)) is None else val for v in scope)
+        arr[index] = _broadcast_to(r.table, [v for v in scope if v not in r.body])
+    return arr

@@ -16,8 +16,8 @@ Pieces with Y in the body are added across Y's values with the group-sum
 operator; a fold output is dropped only when every piece that fed it was
 pure, because a pure piece can face an impure sibling at another value.
 
-A pair-splitting variant of eliminate (no absorption, no purity pruning) is
-kept behind ``use_absorption=False`` for differential testing.
+Splitting goes through :func:`~ctxve.confactor.split_on_context` and the
+audit's dense expansions through :func:`~ctxve.confactor.tile`.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .confactor import Confactor, split_variable_order
+from .confactor import Confactor, split_on_context, tile
 from .counters import CostCounters
 from .errors import InvariantError, ZeroEvidenceError
 from .network import ContextualBeliefNetwork, joint_table
 from .orders import check_order, min_size_order
-from .posterior import Posterior, expand_confactor, extract_posterior
+from .posterior import Posterior, extract_posterior
 from .tables import (
     Context,
     DomainCatalog,
@@ -49,6 +49,9 @@ from .tables import (
 )
 
 EMPTY: frozenset[int] = frozenset()
+# Largest joint state space the audit expands densely.
+AUDIT_CAP = 1 << 16
+_ONE = Table.scalar(1.0)
 
 
 def observed_scalar_is_zero(confactors: Sequence[Confactor], obs: Context) -> bool:
@@ -79,102 +82,6 @@ def incorporate_evidence(
         if not body and not table.vars:
             continue
         out.append(Confactor(body, table, r.for_vars, r.pure_for))
-    return out
-
-
-def absorb(
-    catalog: DomainCatalog,
-    complete_set: Sequence[Confactor],
-    r: Confactor,
-    counters=None,
-    eliminating: Optional[VariableId] = None,
-) -> list[Confactor]:
-    """Multiply ``r`` into a complete confactor set without splitting ``r``.
-
-    Incompatible members pass through; every compatible member is split on
-    ``r``'s body and the matching piece is replaced by its product with
-    ``r``.  The result is complete again.  When ``eliminating`` is given,
-    the product of ``r`` into a member still pure for that variable keeps
-    ``r``'s purity; every other product is impure.
-    """
-    out: list[Confactor] = []
-    for m in complete_set:
-        if not compatible(m.body, r.body):
-            out.append(m)
-            continue
-        residuals, keep = _split_confactor(catalog, m, r.body, counters)
-        out.extend(residuals)
-        table = product(set_table(r.table, keep.body), keep.table, counters)
-        pure = (
-            r.pure_for
-            if eliminating is not None and eliminating in m.pure_for
-            else EMPTY
-        )
-        out.append(Confactor(keep.body, table, m.for_vars | r.for_vars, pure))
-    return out
-
-
-def _split_confactor(
-    catalog: DomainCatalog, r: Confactor, c: Context, counters=None
-) -> tuple[list[Confactor], Confactor]:
-    """Split ``r`` on context ``c``: residual pieces plus the kept piece."""
-    order = split_variable_order(r.body, r.table.vars, c)
-    residuals: list[Confactor] = []
-    keep = r
-    for v in order:
-        target = c.get(v)
-        dom = catalog.size(v)
-        if counters is not None:
-            counters.splits += dom - 1
-        for val in range(dom):
-            piece = Confactor(
-                keep.body.with_assignment(v, val),
-                set_table(keep.table, Context([(v, val)])),
-                keep.for_vars,
-                keep.pure_for,
-            )
-            if val == target:
-                nxt = piece
-            else:
-                residuals.append(piece)
-        keep = nxt
-    return residuals, keep
-
-
-def sum_out_table_occurrences(
-    catalog: DomainCatalog,
-    confactors: Sequence[Confactor],
-    y: VariableId,
-    counters=None,
-    prune_ones: bool = True,
-) -> list[Confactor]:
-    """Sum ``y`` out of every confactor that carries it in its table.
-
-    Requires that no two confactors with compatible bodies both contain
-    ``y`` (absorption must have finished).  Confactors pure for ``y`` sum to
-    all-ones tables and are deleted instead.
-    """
-    with_y = [r for r in confactors if y in r.table.vars or y in r.body]
-    for a, b in itertools.combinations(with_y, 2):
-        if (y in a.table.vars or y in b.table.vars) and compatible(a.body, b.body):
-            raise InvariantError(
-                "two compatible confactors still contain the variable; absorption incomplete"
-            )
-    out = []
-    for r in confactors:
-        if y not in r.table.vars:
-            out.append(r)
-            continue
-        if prune_ones and y in r.pure_for:
-            continue
-        out.append(
-            Confactor(
-                r.body,
-                sum_out(r.table, y, counters),
-                r.for_vars - {y},
-                r.pure_for - {y},
-            )
-        )
     return out
 
 
@@ -227,22 +134,15 @@ def sum_out_confactor_set(
     items: Sequence[Confactor],
     y: VariableId,
     counters=None,
-    prune_ones: bool = False,
 ) -> list[Confactor]:
     """Eliminate ``y`` from an aligned confactor set: sum it out of tables,
     group-sum the body occurrences, and strip ``y`` from the bookkeeping.
-
-    With ``prune_ones``, table occurrences still pure for ``y`` are dropped
-    outright; body occurrences are dropped only when their entire group sum
-    was pure (a pure piece may face an impure sibling at another value).
-    """
+    Nothing is pruned: all-ones results are kept."""
     out = []
     dom = catalog.size(y)
     groups: list[list[Confactor]] = [[] for _ in range(dom)]
     for r in items:
         if y in r.table.vars:
-            if prune_ones and y in r.pure_for:
-                continue
             out.append(
                 Confactor(
                     r.body,
@@ -257,10 +157,7 @@ def sum_out_confactor_set(
             )
         else:
             raise InvariantError("confactor does not involve the eliminated variable")
-    combined = sum_out_body_occurrences(catalog, groups, counters)
-    for r in combined:
-        if prune_ones and y in r.pure_for:
-            continue
+    for r in sum_out_body_occurrences(catalog, groups, counters):
         out.append(
             Confactor(r.body, r.table, r.for_vars - {y}, r.pure_for - {y})
         )
@@ -283,59 +180,28 @@ class _Member:
 class ContextualVE:
     """One engine instance per query over a shared immutable network."""
 
-    def __init__(
-        self,
-        net: ContextualBeliefNetwork,
-        use_absorption: bool = True,
-        prune_ones: bool = True,
-        audit: bool = False,
-        audit_cap: int = 1 << 16,
-    ):
+    def __init__(self, net: ContextualBeliefNetwork, audit: bool = False):
         self.net = net
-        self.use_absorption = use_absorption
-        # Purity pruning belongs to the absorption bookkeeping; the plain
-        # pair-splitting variant keeps its all-ones confactors.
-        self.prune_ones = prune_ones and use_absorption
         self.audit = audit
-        self.audit_cap = audit_cap
         self.counters = CostCounters()
         self.base: list[Confactor] = []
-        self._insertion: dict[int, int] = {}
-        self._next_index = 0
         self._obs = Context()
         self._eliminated: list[VariableId] = []
         self._reference: Optional[Table] = None
 
-    # -- working-base bookkeeping ------------------------------------------
-
-    def _add(self, r: Confactor) -> Confactor:
-        self._insertion[id(r)] = self._next_index
-        self._next_index += 1
-        return r
-
-    def _insertion_index(self, r: Confactor) -> int:
-        return self._insertion[id(r)]
-
     def confactors_for(self, x: VariableId) -> list[Confactor]:
         return [r for r in self.base if x in r.for_vars]
-
-    def confactors_involving(self, x: VariableId) -> list[Confactor]:
-        return [r for r in self.base if r.involves(x)]
 
     # -- query lifecycle ----------------------------------------------------
 
     def begin(self, obs: Optional[Context] = None) -> None:
         self.counters = CostCounters()
         self._obs = obs or Context()
-        self._insertion = {}
-        self._next_index = 0
         self._eliminated = []
         confactors = self.net.all_confactors()
         if observed_scalar_is_zero(confactors, self._obs):
             raise ZeroEvidenceError("evidence has probability zero")
-        self.base = [
-            self._add(r) for r in incorporate_evidence(confactors, self._obs)
-        ]
+        self.base = incorporate_evidence(confactors, self._obs)
         # A family whose every member contradicts the observation (possible
         # only on force-loaded, non-exhaustive networks) leaves the evidence
         # region without a conditional: nothing supports the observation.
@@ -344,7 +210,7 @@ class ContextualVE:
             if x not in self._obs and self.net.families[x] and x not in tracked:
                 raise ZeroEvidenceError("evidence has probability zero")
         if self.audit:
-            self._reference = joint_table(self.net, self._obs, cap=self.audit_cap)
+            self._reference = joint_table(self.net, self._obs, cap=AUDIT_CAP)
             self._check_invariants()
 
     def eliminate(self, y: VariableId) -> None:
@@ -363,11 +229,10 @@ class ContextualVE:
                 raise InvariantError(
                     "confactor tracked for a variable it does not involve"
                 )
-        if self.use_absorption:
-            created = self._eliminate_absorb(y, r_plus, r_star)
-        else:
-            created = self._eliminate_split(y, r_plus + r_star)
-        new_base = r_minus + [self._add(c) for c in created]
+        created = self._absorb(y, r_plus, r_star)
+        # The base stays in insertion order: survivors first, then the
+        # confactors this elimination created.
+        new_base = r_minus + created
         changed: set[int] = set()
         for c in created:
             changed |= c.for_vars
@@ -401,9 +266,9 @@ class ContextualVE:
             self.eliminate(y)
         return self.finish(query_vars)
 
-    # -- absorption path ----------------------------------------------------
+    # -- absorption ---------------------------------------------------------
 
-    def _eliminate_absorb(
+    def _absorb(
         self, y: VariableId, r_plus: list[Confactor], r_star: list[Confactor]
     ) -> list[Confactor]:
         catalog = self.net.catalog
@@ -415,10 +280,9 @@ class ContextualVE:
         members = [
             _Member(r.body, [r.table], r.for_vars, r.pure_for) for r in r_plus
         ]
-        pending = sorted(
-            r_star, key=lambda r: (len(r.body), self._insertion_index(r))
-        )
-        for r in pending:
+        # Shortest bodies first; the sort is stable, so ties keep the base's
+        # insertion order.
+        for r in sorted(r_star, key=lambda r: len(r.body)):
             nxt: list[_Member] = []
             landed = False
             for m in members:
@@ -426,12 +290,19 @@ class ContextualVE:
                     nxt.append(m)
                     continue
                 landed = True
-                kept = self._split_member(m, r.body, nxt)
-                kept.tables.append(set_table(r.table, kept.body))
-                pure = r.pure_for if y in m.pure_for else EMPTY
-                kept.for_vars = m.for_vars | r.for_vars
-                kept.pure_for = pure
-                nxt.append(kept)
+                residuals, (body, tables) = split_on_context(
+                    catalog, m.body, m.tables, r.body, counters
+                )
+                for piece_body, piece_tables in residuals:
+                    nxt.append(_Member(piece_body, piece_tables, m.for_vars, m.pure_for))
+                nxt.append(
+                    _Member(
+                        body,
+                        tables + [set_table(r.table, body)],
+                        m.for_vars | r.for_vars,
+                        r.pure_for if y in m.pure_for else EMPTY,
+                    )
+                )
             if not landed:
                 raise InvariantError(
                     "absorbed confactor found no compatible member; incomplete cover"
@@ -456,7 +327,7 @@ class ContextualVE:
             elif any(y in t.vars for t in m.tables):
                 # Still pure for y: the tables are an untouched family
                 # fragment whose sum over y is all ones.
-                if self.prune_ones and y in m.pure_for:
+                if y in m.pure_for:
                     continue
                 tables = sorted(m.tables, key=lambda t: t.size)
                 result, sizes = multiply_all_sum_out(tables, y, counters)
@@ -470,9 +341,8 @@ class ContextualVE:
                 raise InvariantError(
                     "absorbing member does not involve the eliminated variable"
                 )
-        combined = sum_out_body_occurrences(catalog, groups, counters)
-        for r in combined:
-            if self.prune_ones and y in r.pure_for:
+        for r in sum_out_body_occurrences(catalog, groups, counters):
+            if y in r.pure_for:
                 continue
             counters.note_tables([r.size])
             created.append(
@@ -480,162 +350,16 @@ class ContextualVE:
             )
         return created
 
-    def _split_member(
-        self, m: _Member, c: Context, residual_sink: list[_Member]
-    ) -> _Member:
-        catalog = self.net.catalog
-        table_vars = {v for t in m.tables for v in t.vars}
-        order = split_variable_order(m.body, table_vars, c)
-        body, tables = m.body, m.tables
-        for v in order:
-            target = c.get(v)
-            dom = catalog.size(v)
-            self.counters.splits += dom - 1
-            for val in range(dom):
-                piece_tables = [set_table(t, Context([(v, val)])) for t in tables]
-                if val == target:
-                    keep_body = body.with_assignment(v, val)
-                    keep_tables = piece_tables
-                else:
-                    residual_sink.append(
-                        _Member(
-                            body.with_assignment(v, val),
-                            piece_tables,
-                            m.for_vars,
-                            m.pure_for,
-                        )
-                    )
-            body, tables = keep_body, keep_tables
-        return _Member(body, list(tables), m.for_vars, m.pure_for)
-
-    # -- pair-splitting path (no absorption) ---------------------------------
-
-    def _eliminate_split(
-        self, y: VariableId, involved: list[Confactor]
-    ) -> list[Confactor]:
-        catalog = self.net.catalog
-        counters = self.counters
-        work = sorted(involved, key=self._insertion_index)
-        # Multiply compatible pairs, splitting both sides to alignment,
-        # until all bodies are pairwise incompatible.
-        while True:
-            pair = self._first_compatible_pair(work)
-            if pair is None:
-                break
-            i, j = pair
-            r2 = work.pop(j)
-            r1 = work.pop(i)
-            res1, keep1 = _split_confactor(catalog, r1, r2.body, counters)
-            res2, keep2 = _split_confactor(catalog, r2, r1.body, counters)
-            table = product(keep1.table, keep2.table, counters)
-            counters.note_tables([table.size])
-            prod = Confactor(
-                keep1.body, table, r1.for_vars | r2.for_vars, EMPTY
-            )
-            work.extend(res1)
-            work.extend(res2)
-            work.append(prod)
-        created: list[Confactor] = []
-        remaining: list[Confactor] = []
-        for r in work:
-            if y in r.table.vars:
-                result = sum_out(r.table, y, counters)
-                counters.note_tables([result.size])
-                created.append(
-                    Confactor(r.body, result, r.for_vars - {y}, r.pure_for - {y})
-                )
-            else:
-                remaining.append(r)
-        # Add complementary body occurrences; split stragglers to alignment.
-        dom = catalog.size(y)
-        while remaining:
-            grouped = self._complete_value_group(remaining, y, dom)
-            if grouped is not None:
-                parts = sorted(grouped, key=lambda r: r.body.get(y))
-                for r in parts:
-                    remaining.remove(r)
-                acc = parts[0].table
-                for_vars: frozenset[int] = parts[0].for_vars
-                for r in parts[1:]:
-                    acc = add_tables(acc, r.table, counters)
-                    for_vars |= r.for_vars
-                counters.note_tables([acc.size])
-                created.append(
-                    Confactor(
-                        parts[0].body.without(y), acc, for_vars - {y}, EMPTY
-                    )
-                )
-                continue
-            pair = self._alignable_pair(remaining, y)
-            if pair is None:
-                raise InvariantError(
-                    "body occurrences cannot be aligned; invariant breach"
-                )
-            i, j = pair
-            before = len(remaining)
-            r2 = remaining.pop(j)
-            r1 = remaining.pop(i)
-            remaining.extend(
-                _split_all(catalog, r1, r2.body.without(y), counters)
-            )
-            remaining.extend(
-                _split_all(catalog, r2, r1.body.without(y), counters)
-            )
-            # the loop measure: every alignment round must grow the multiset
-            if len(remaining) <= before:
-                raise InvariantError("alignment made no progress")
-        return created
-
-    @staticmethod
-    def _first_compatible_pair(work: list[Confactor]):
-        for i in range(len(work)):
-            for j in range(i + 1, len(work)):
-                if compatible(work[i].body, work[j].body):
-                    return i, j
-        return None
-
-    @staticmethod
-    def _complete_value_group(remaining: list[Confactor], y, dom):
-        by_base: dict[Context, dict[int, Confactor]] = {}
-        for r in remaining:
-            base = r.body.without(y)
-            slot = by_base.setdefault(base, {})
-            val = r.body.get(y)
-            if val not in slot:
-                slot[val] = r
-            if len(slot) == dom:
-                return list(slot.values())
-        return None
-
-    @staticmethod
-    def _alignable_pair(remaining: list[Confactor], y):
-        for i in range(len(remaining)):
-            for j in range(i + 1, len(remaining)):
-                r1, r2 = remaining[i], remaining[j]
-                if r1.body.get(y) == r2.body.get(y):
-                    continue
-                if r1.body.without(y) == r2.body.without(y):
-                    continue
-                if compatible(r1.body.without(y), r2.body.without(y)):
-                    return i, j
-        return None
-
     # -- debug auditing -------------------------------------------------------
-
-    def _remaining_vars(self) -> list[VariableId]:
-        gone = set(self._obs.vars()) | set(self._eliminated)
-        return [v for v in range(self.net.n_vars()) if v not in gone]
 
     def _check_invariants(self) -> None:
         assert self._reference is not None
         catalog = self.net.catalog
-        remaining = self._remaining_vars()
+        gone = set(self._obs.vars()) | set(self._eliminated)
+        remaining = [v for v in range(self.net.n_vars()) if v not in gone]
         marginal = self._reference
         for v in self._eliminated:
             marginal = sum_out(marginal, v)
-        space = math.prod(catalog.size(v) for v in remaining) if remaining else 1
-        if space > self.audit_cap:
-            raise InvariantError("audit requested on an oversized network")
         # Product of the applicable confactor values must be proportional to
         # the evidence-weighted marginal, everywhere.
         prod_arr = np.ones(catalog.shape(remaining))
@@ -645,19 +369,8 @@ class ContextualVE:
             # it cannot have gathered any other provenance
             if r.pure_for and r.pure_for != r.for_vars:
                 raise InvariantError("pure bookkeeping out of sync with provenance")
-            expansion = expand_confactor(r, catalog)
-            pos = [remaining.index(v) for v in expansion.vars]
-            shape = [1] * len(remaining)
-            for p, dim in zip(pos, expansion.array.shape):
-                shape[p] = dim
-            prod_arr = prod_arr * expansion.array.reshape(shape)
-            body_mask = np.ones(catalog.shape(remaining), dtype=bool)
-            for v, val in r.body.items():
-                idx = [slice(None)] * len(remaining)
-                idx[remaining.index(v)] = val
-                mask = np.zeros(catalog.shape(remaining), dtype=bool)
-                mask[tuple(idx)] = True
-                body_mask &= mask
+            prod_arr = prod_arr * tile([r], remaining, catalog, 1.0)
+            body_mask = tile([Confactor(r.body, _ONE)], remaining, catalog, 0.0) == 1.0
             for v in r.variables():
                 covered[v] |= body_mask
         for v, mask in covered.items():
@@ -702,24 +415,13 @@ class ContextualVE:
                 )
 
 
-def _split_all(
-    catalog: DomainCatalog, r: Confactor, c: Context, counters=None
-) -> list[Confactor]:
-    residuals, keep = _split_confactor(catalog, r, c, counters)
-    return residuals + [keep]
-
-
 def cve_query(
     net: ContextualBeliefNetwork,
     query_vars: Sequence[VariableId],
     obs: Optional[Context] = None,
     order: Optional[Sequence[VariableId]] = None,
-    use_absorption: bool = True,
-    prune_ones: bool = True,
     audit: bool = False,
 ) -> tuple[Posterior, CostCounters]:
-    engine = ContextualVE(
-        net, use_absorption=use_absorption, prune_ones=prune_ones, audit=audit
-    )
+    engine = ContextualVE(net, audit=audit)
     posterior = engine.query(query_vars, obs, order)
     return posterior, engine.counters

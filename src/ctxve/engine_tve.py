@@ -124,9 +124,7 @@ class TreeVE:
         merged = involved[0]
         for g in involved[1:]:
             merged = tve_multiply(catalog, merged, g, self.counters)
-        members = sum_out_confactor_set(
-            catalog, merged.members, y, self.counters, prune_ones=False
-        )
+        members = sum_out_confactor_set(catalog, merged.members, y, self.counters)
         created = [r.size for r in members]
         self.counters.note_tables(created)
         result = GroupedFactor(merged.gid, members)

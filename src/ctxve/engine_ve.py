@@ -69,11 +69,8 @@ def multiply_factors(
 class TabularVE:
     """One engine instance per query; the network is shared and immutable."""
 
-    def __init__(self, net: ContextualBeliefNetwork, mult_order: str = "ascending"):
-        if mult_order not in ("ascending", "insertion"):
-            raise ValueError(f"unknown multiplication order: {mult_order!r}")
+    def __init__(self, net: ContextualBeliefNetwork):
         self.net = net
-        self.mult_order = mult_order
         self.counters = CostCounters()
         self.factors: list[Table] = []
         self._obs = Context()
@@ -98,11 +95,13 @@ class TabularVE:
             self.counters.record_elimination(y, (), 0)
             return
         rest = [f for f in self.factors if not f.involves(y)]
-        if self.mult_order == "ascending":
-            involved.sort(key=lambda t: t.size)
+        involved.sort(key=lambda t: t.size)
         result, created = multiply_all_sum_out(involved, y, self.counters)
+        # A scalar result is a constant of proportionality, as in ``begin``.
         if result.vars:
             rest.append(result)
+        elif float(result.array) == 0.0:
+            raise ZeroEvidenceError("evidence has probability zero")
         self.factors = rest
         self.counters.record_elimination(y, created, sum(created))
 
@@ -145,8 +144,7 @@ def ve_query(
     query_vars: Sequence[VariableId],
     obs: Optional[Context] = None,
     order: Optional[Sequence[VariableId]] = None,
-    mult_order: str = "ascending",
 ) -> tuple[Posterior, CostCounters]:
-    engine = TabularVE(net, mult_order=mult_order)
+    engine = TabularVE(net)
     posterior = engine.query(query_vars, obs, order)
     return posterior, engine.counters

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .confactor import Confactor
+from .confactor import Confactor, tile
 from .errors import NetworkFormatError
 from .tables import (
     Context,
@@ -71,9 +71,6 @@ class ContextualBeliefNetwork:
         )
         self._tabular_cache: dict[int, Table] = {}
 
-    def family(self, x: VariableId) -> tuple[Confactor, ...]:
-        return self.families[x]
-
     def all_confactors(self) -> list[Confactor]:
         return [r for fam in self.families for r in fam]
 
@@ -97,17 +94,8 @@ class ContextualBeliefNetwork:
         if cached is not None:
             return cached
         fam = self.families[x]
-        scope = sorted({v for r in fam for v in r.variables()})
-        shape = self.catalog.shape(scope)
-        arr = np.zeros(shape)
-        for r in fam:
-            indexer = tuple(
-                r.body.get(v) if v in r.body else slice(None) for v in scope
-            )
-            sub_vars = [v for v in scope if v not in r.body]
-            block = _table_over(r.table, sub_vars, self.catalog)
-            arr[indexer] = block
-        result = Table(tuple(scope), arr)
+        scope = tuple(sorted({v for r in fam for v in r.variables()}))
+        result = Table(scope, tile(fam, scope, self.catalog, 0.0))
         self._tabular_cache[x] = result
         return result
 
@@ -117,17 +105,6 @@ class ContextualBeliefNetwork:
         Returns an empty list iff the network is well formed.
         """
         return validate(self)
-
-
-def _table_over(table: Table, vars: Sequence[VariableId], catalog: DomainCatalog) -> np.ndarray:
-    """Array of ``table`` broadcast over the axes of ``vars`` (a superset)."""
-    pos = [vars.index(v) for v in table.vars]
-    order = np.argsort(pos) if len(pos) > 1 else range(len(pos))
-    arr = np.transpose(table.array, order)
-    shape = [1] * len(vars)
-    for p, dim in zip(sorted(pos), arr.shape):
-        shape[p] = dim
-    return np.broadcast_to(arr.reshape(shape), catalog.shape(vars))
 
 
 def validate(net: ContextualBeliefNetwork) -> list[str]:

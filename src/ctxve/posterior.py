@@ -1,4 +1,9 @@
-"""Posterior distributions and shared answer-extraction machinery."""
+"""Posterior distributions and shared answer-extraction machinery.
+
+Confactors become dense tables here through :func:`~ctxve.confactor.tile`:
+one confactor over a ones background (:func:`expand_confactor`), or a
+mutually exclusive set over zeros (:func:`tile_confactors`).
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .confactor import Confactor
+from .confactor import Confactor, tile
 from .errors import ZeroEvidenceError
 from .tables import (
     DomainCatalog,
@@ -34,14 +39,6 @@ class Posterior:
 
     def prob(self, assignment: Mapping[VariableId, int]) -> float:
         return self.table.lookup(assignment)
-
-    def prob_of(self, labels: Mapping[str, str]) -> float:
-        cat = self.catalog
-        assignment = {
-            cat.index(name): cat.value_index(cat.index(name), label)
-            for name, label in labels.items()
-        }
-        return self.prob(assignment)
 
     def lines(self) -> list[str]:
         """``value<TAB>probability`` rows in domain order, 10 significant digits."""
@@ -78,17 +75,7 @@ def expand_confactor(r: Confactor, catalog: DomainCatalog) -> Table:
     confactor contributes a neutral 1.
     """
     scope = tuple(sorted(r.variables()))
-    arr = np.ones(catalog.shape(scope))
-    indexer = tuple(r.body.get(v) if v in r.body else slice(None) for v in scope)
-    sub_vars = [v for v in scope if v not in r.body]
-    pos = [sub_vars.index(v) for v in r.table.vars]
-    order = np.argsort(pos) if len(pos) > 1 else range(len(pos))
-    block = np.transpose(r.table.array, order)
-    shape = [1] * len(sub_vars)
-    for p, dim in zip(sorted(pos), block.shape):
-        shape[p] = dim
-    arr[indexer] = block.reshape(shape)
-    return Table(scope, arr)
+    return Table(scope, tile([r], scope, catalog, 1.0))
 
 
 def tile_confactors(
@@ -99,20 +86,7 @@ def tile_confactors(
     """Write a mutually exclusive, covering confactor set into one dense
     table over the query variables (no arithmetic, pure placement)."""
     query = tuple(sorted(query_vars))
-    arr = np.zeros(catalog.shape(query))
-    for r in items:
-        indexer = tuple(
-            r.body.get(v) if v in r.body else slice(None) for v in query
-        )
-        free = [v for v in query if v not in r.body]
-        pos = [free.index(v) for v in r.table.vars]
-        order = np.argsort(pos) if len(pos) > 1 else range(len(pos))
-        block = np.transpose(r.table.array, order)
-        shape = [1] * len(free)
-        for p, dim in zip(sorted(pos), block.shape):
-            shape[p] = dim
-        arr[indexer] = block.reshape(shape)
-    return Table(query, arr)
+    return Table(query, tile(items, query, catalog, 0.0))
 
 
 def extract_posterior(
@@ -124,7 +98,8 @@ def extract_posterior(
     """Multiply the remaining confactors and renormalize over the query.
 
     Every remaining confactor must only mention query variables.  Scalar
-    confactors are proportionality constants and are dropped.
+    confactors are proportionality constants and are dropped, unless one is
+    zero: then the evidence has probability zero.
     """
     query = tuple(sorted(query_vars))
     qset = set(query)
@@ -136,6 +111,8 @@ def extract_posterior(
             raise ValueError(f"confactor mentions uneliminated variables: {extra}")
         if vars:
             expansions.append(expand_confactor(r, catalog))
+        elif float(r.table.array) == 0.0:
+            raise ZeroEvidenceError("evidence has probability zero")
     covered = {v for t in expansions for v in t.vars}
     if covered != qset:
         missing = sorted(qset - covered)

@@ -100,11 +100,6 @@ class DomainCatalog:
             pairs[name.strip()] = label.strip()
         return self.context(pairs)
 
-    def format_context(self, context: "Context") -> str:
-        return ",".join(
-            f"{self.names[v]}={self.domains[v][val]}" for v, val in context.items()
-        )
-
     def assignments(self, vars: Sequence[VariableId]) -> Iterator[tuple[int, ...]]:
         """All joint value-index tuples for ``vars`` in layout order."""
         return np.ndindex(*self.shape(vars))  # type: ignore[return-value]
@@ -166,10 +161,6 @@ class Context:
 
     def without(self, var: VariableId) -> "Context":
         return Context(tuple(p for p in self._items if p[0] != var))
-
-    def restricted_to(self, vars: Iterable[VariableId]) -> "Context":
-        keep = set(vars)
-        return Context(tuple(p for p in self._items if p[0] in keep))
 
 
 def compatible(c1: Context, c2: Context) -> bool:

@@ -96,20 +96,35 @@ class TestInfer:
         from ctxve import Confactor, Context, ContextualBeliefNetwork, DomainCatalog
 
         cat = DomainCatalog([("x", ("0", "1")), ("y", ("0", "1"))])
-        net = ContextualBeliefNetwork(
+        point = ContextualBeliefNetwork(
             cat,
             [
                 [Confactor(Context(), cat.table((0,), [1.0, 0.0]))],
                 [Confactor(Context(), cat.table((0, 1), [0.5, 0.5, 0.5, 0.5]))],
             ],
         )
-        path = tmp_path / "point.json"
-        save(net, path)
-        code, _, err = run(
-            capsys, "infer", str(path), "--query", "y", "--evidence", "x=1"
+        # a -> b with P(b=1 | a) = 0 for both values of a, and an
+        # independent c: the zero only appears once a is summed out
+        cat = DomainCatalog([(n, ("0", "1")) for n in ["a", "b", "c"]])
+        deterministic = ContextualBeliefNetwork(
+            cat,
+            [
+                [Confactor(Context(), cat.table((0,), [0.5, 0.5]))],
+                [Confactor(Context(), cat.table((0, 1), [1.0, 0.0, 1.0, 0.0]))],
+                [Confactor(Context(), cat.table((2,), [0.4, 0.6]))],
+            ],
         )
-        assert code == 2
-        assert "probability zero" in err
+        cases = [(point, "y", "x=1"), (deterministic, "c", "b=1")]
+        for net, query, evidence in cases:
+            path = tmp_path / "net.json"
+            save(net, path)
+            for engine in ("ve", "cve", "tve", "enum"):
+                code, _, err = run(
+                    capsys, "infer", str(path), "--query", query,
+                    "--evidence", evidence, "--engine", engine,
+                )
+                assert code == 2, (query, engine)
+                assert "probability zero" in err
 
 
 class TestGenCompressBench:

@@ -16,9 +16,7 @@ from ctxve import (
     compatible,
     count_split_pieces,
     residual,
-    split,
-    split_keep,
-    split_on_variable,
+    split_on_context,
     value_at,
 )
 from ctxve.counters import CostCounters
@@ -33,6 +31,17 @@ def cat():
 
 def conf(cat, body, names, values):
     return Confactor(ctx(cat, body), table(cat, names, values))
+
+
+def split_keep(cat, r, c):
+    """The kept piece of splitting ``r`` on ``c``, as a confactor."""
+    _, (body, (t,)) = split_on_context(cat, r.body, [r.table], c)
+    return Confactor(body, t, r.for_vars, r.pure_for)
+
+
+def split(cat, r, c):
+    """Every piece of splitting ``r`` on ``c``: residuals, then the kept one."""
+    return residual(cat, r, c) + [split_keep(cat, r, c)]
 
 
 class TestApplicability:
@@ -70,35 +79,42 @@ class TestApplicability:
 
 
 class TestSplitOnVariable:
+    """Splitting on a context that assigns one new variable."""
+
     def test_split_copies_table_for_foreign_variable(self, cat):
         r = conf(cat, "a=true", ["b", "e"], [0.55, 0.45, 0.3, 0.7])
-        pieces = split_on_variable(cat, r, cat.index("y"))
+        pieces = split(cat, r, ctx(cat, "y=true"))
         assert [p.body for p in pieces] == [
-            ctx(cat, "a=true,y=true"),
             ctx(cat, "a=true,y=false"),
+            ctx(cat, "a=true,y=true"),
         ]
         for p in pieces:
             np.testing.assert_allclose(p.table.array, r.table.array)
 
     def test_split_on_table_variable_slices(self, cat):
         r = conf(cat, "z=false", ["d", "y"], [0.79, 0.59, 0.21, 0.41])
-        pieces = split_on_variable(cat, r, cat.index("d"))
-        assert pieces[0].body == ctx(cat, "d=true,z=false")
-        np.testing.assert_allclose(pieces[0].table.array, [0.79, 0.59])
-        np.testing.assert_allclose(pieces[1].table.array, [0.21, 0.41])
+        rest, kept = split(cat, r, ctx(cat, "d=true"))
+        assert kept.body == ctx(cat, "d=true,z=false")
+        np.testing.assert_allclose(kept.table.array, [0.79, 0.59])
+        assert rest.body == ctx(cat, "d=false,z=false")
+        np.testing.assert_allclose(rest.table.array, [0.21, 0.41])
 
     def test_split_scalar_pieces(self, cat):
         r = conf(cat, "a=false,z=true", ["d"], [0.29, 0.71])
-        pieces = split_on_variable(cat, r, cat.index("c"))
+        pieces = split(cat, r, ctx(cat, "c=true"))
         assert [p.body for p in pieces] == [
-            ctx(cat, "a=false,c=true,z=true"),
             ctx(cat, "a=false,c=false,z=true"),
+            ctx(cat, "a=false,c=true,z=true"),
         ]
 
     def test_split_on_assigned_variable_errors(self, cat):
+        # an explicit order must list each new variable of the context once:
+        # not an assigned one, and none twice or missing
         r = conf(cat, "a=true", ["b", "e"], [0.55, 0.45, 0.3, 0.7])
-        with pytest.raises(ValueError, match="split on assigned variable"):
-            split_on_variable(cat, r, cat.index("a"))
+        target = ctx(cat, "a=true,y=true")
+        for order in (["a", "y"], ["y", "y"], [], ["y", "z"]):
+            with pytest.raises(ValueError, match="split order must cover exactly"):
+                residual(cat, r, target, split_order=[cat.index(n) for n in order])
 
     def test_split_counter_and_bookkeeping(self, cat):
         counters = CostCounters()
@@ -108,11 +124,25 @@ class TestSplitOnVariable:
             frozenset({cat.index("e")}),
             frozenset({cat.index("e")}),
         )
-        pieces = split_on_variable(cat, base, cat.index("y"), counters)
+        pieces = residual(cat, base, ctx(cat, "y=true"), counters)
         assert counters.splits == 1
         for p in pieces:
             assert p.for_vars == base.for_vars
             assert p.pure_for == base.pure_for
+
+    def test_split_slices_every_table_of_a_lazy_product(self, cat):
+        t1 = table(cat, ["b", "e"], [0.55, 0.45, 0.3, 0.7])
+        t2 = table(cat, ["b", "z"], [0.77, 0.17, 0.23, 0.83])
+        residuals, (body, tables) = split_on_context(
+            cat, ctx(cat, "a=true"), [t1, t2], ctx(cat, "b=false")
+        )
+        assert body == ctx(cat, "a=true,b=false")
+        np.testing.assert_allclose(tables[0].array, [0.3, 0.7])
+        np.testing.assert_allclose(tables[1].array, [0.23, 0.83])
+        [(res_body, res_tables)] = residuals
+        assert res_body == ctx(cat, "a=true,b=true")
+        np.testing.assert_allclose(res_tables[0].array, [0.55, 0.45])
+        np.testing.assert_allclose(res_tables[1].array, [0.77, 0.17])
 
 
 class TestResidual:
@@ -146,7 +176,7 @@ class TestResidual:
     def test_context_inside_body_yields_nothing(self, cat):
         r = conf(cat, "a=true,b=false", ["e"], [0.3, 0.7])
         assert residual(cat, r, ctx(cat, "a=true")) == []
-        assert split_keep(cat, r, Context()) is not None
+        assert split_keep(cat, r, Context()).body == r.body
 
     def test_body_only_splits(self, cat):
         t2 = table(cat, ["e"], [0.4, 0.6])

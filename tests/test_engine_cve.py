@@ -16,16 +16,15 @@ from ctxve import (
     SplitMix64,
     Table,
     ZeroEvidenceError,
-    absorb,
+    compatible,
     cve_query,
     generate_random_cbn,
     incorporate_evidence,
     sum_out_body_occurrences,
-    sum_out_table_occurrences,
     value_at,
     ve_query,
 )
-from ctxve.engine_cve import ContextualVE
+from ctxve.engine_cve import ContextualVE, sum_out_confactor_set
 
 from conftest import (
     F,
@@ -98,41 +97,55 @@ class TestEvidence:
             cve_query(net, [1], Context([(0, 1)]))
 
 
+def eliminated(net, var_name):
+    """An audited engine after eliminating one variable with no evidence."""
+    engine = ContextualVE(net, audit=True)
+    engine.begin()
+    engine.eliminate(net.catalog.index(var_name))
+    return engine
+
+
 class TestAbsorb:
     def test_incoming_confactor_is_never_split(self, tree_net):
         cat = tree_net.catalog
-        b_family = list(tree_net.families[cat.index("b")])
-        incoming = tree_net.families[cat.index("e")][0]  # <a, t(b,e)>
-        out = absorb(cat, b_family, incoming, eliminating=cat.index("b"))
-        bodies = {r.body for r in out}
-        assert ctx(cat, "y=true,a=true") in bodies
-        assert ctx(cat, "y=false,a=true") in bodies
-        # residual pieces cover the a=false side untouched
-        assert ctx(cat, "y=true,a=false") in bodies
-        assert ctx(cat, "y=false,a=false") in bodies
-        prod = find_confactor(out, cat, "y=true,a=true")
-        assert cval(cat, prod, "y=true,a=true,b=true,e=true,z=true") == pytest.approx(0.4235)
+        engine = eliminated(tree_net, "b")
+        # Only b's two members are split: on a to absorb <a=true>, then on c
+        # and d to absorb <a=false,c=false,d=true>.  Splitting an incoming
+        # confactor would also split it on y.
+        assert engine.counters.splits == 6
+        # each a=true product holds the whole incoming table, summed over b
+        prod = find_confactor(engine.base, cat, "y=true,a=true")
+        assert cval(cat, prod, "y=true,a=true,e=true,z=true") == pytest.approx(0.4925)
+        assert find_confactor(engine.base, cat, "y=false,a=true") is not None
         # purity: products into the pure family keep the incoming purity
         assert prod.pure_for == frozenset({cat.index("e")})
-        res = find_confactor(out, cat, "y=true,a=false")
-        assert res.pure_for == frozenset({cat.index("b")})
 
-    def test_unit_absorption_keeps_tables(self, tree_net):
-        cat = tree_net.catalog
-        b_family = list(tree_net.families[cat.index("b")])
-        unit = Confactor(Context(), Table.scalar(1.0))
-        out = absorb(cat, b_family, unit)
-        assert [r.body for r in out] == [r.body for r in b_family]
-        for got, want in zip(out, b_family):
-            np.testing.assert_allclose(got.table.array, want.table.array)
+    def test_unit_absorption_keeps_tables(self):
+        # An incoming confactor with the empty body splits nothing: every
+        # member keeps its body and gathers the incoming table.
+        cat = DomainCatalog([(n, ("0", "1")) for n in ["x", "w", "v"]])
+        net = ContextualBeliefNetwork(
+            cat,
+            [
+                [Confactor(Context(), cat.table((0,), [0.5, 0.5]))],
+                [
+                    Confactor(Context([(0, 0)]), cat.table((1,), [0.2, 0.8])),
+                    Confactor(Context([(0, 1)]), cat.table((1,), [0.9, 0.1])),
+                ],
+                [Confactor(Context(), cat.table((1, 2), [0.3, 0.7, 0.6, 0.4]))],
+            ],
+        )
+        engine = eliminated(net, "w")
+        assert engine.counters.splits == 0
+        created = [r for r in engine.base if r.table.vars == (2,)]
+        assert [r.body for r in created] == [Context([(0, 0)]), Context([(0, 1)])]
+        np.testing.assert_allclose(created[0].table.array, [0.54, 0.46])
+        np.testing.assert_allclose(created[1].table.array, [0.33, 0.67])
 
     def test_completeness_is_preserved(self, tree_net):
         cat = tree_net.catalog
-        b_family = list(tree_net.families[cat.index("b")])
-        incoming = tree_net.families[cat.index("e")][0]
-        out = absorb(cat, b_family, incoming)
-        from ctxve import compatible
-
+        engine = eliminated(tree_net, "b")
+        out = engine.confactors_for(cat.index("e"))
         for r1, r2 in itertools.combinations(out, 2):
             assert not compatible(r1.body, r2.body)
         # counting argument: disjoint bodies must tile the mentioned space
@@ -159,7 +172,7 @@ class TestSumOutOps:
                 [0.4235, 0.0935, 0.3465, 0.0765, 0.069, 0.249, 0.161, 0.581],
             ),
         )
-        out = sum_out_table_occurrences(cat, [prod], b)
+        out = sum_out_confactor_set(cat, [prod], b)
         assert len(out) == 1
         got = out[0]
         assert cval(cat, got, "a=true,y=true,e=true,z=true") == pytest.approx(0.4925)
@@ -174,18 +187,18 @@ class TestSumOutOps:
             frozenset({d}),
             frozenset({d}),
         )
-        assert sum_out_table_occurrences(cat, [pure], d) == []
-        kept = sum_out_table_occurrences(cat, [pure], d, prune_ones=False)
+        # the set sum keeps the all-ones result ...
+        kept = sum_out_confactor_set(cat, [pure], d)
         assert len(kept) == 1
         assert float(kept[0].table.array) == pytest.approx(1.0)
-
-    def test_incomplete_absorption_detected(self, tree_net):
-        cat = tree_net.catalog
-        b = cat.index("b")
-        r1 = Confactor(ctx(cat, "a=true"), table(cat, ["b", "e"], [0.55, 0.45, 0.3, 0.7]))
-        r2 = Confactor(ctx(cat, "y=true"), table(cat, ["b", "z"], [0.77, 0.17, 0.23, 0.83]))
-        with pytest.raises(InvariantError, match="absorption incomplete"):
-            sum_out_table_occurrences(cat, [r1, r2], b)
+        # ... while the engine deletes the pieces of d's family that no
+        # confactor on e reaches (a=true, and a=false,c=true, for each
+        # value of z) instead of summing them to scalar ones
+        engine = eliminated(tree_net, "d")
+        assert len(engine.counters.eliminations[-1].created) == 2
+        # d's two members and e's two d-bodies became the two mixtures
+        assert len(engine.base) == len(tree_net.all_confactors()) - 2
+        assert all(r.table.vars for r in engine.base)
 
     def test_group_sum_produces_mixtures(self, tree_net):
         cat = tree_net.catalog
@@ -276,18 +289,6 @@ class TestEliminateReferenceNetworks:
                 body.get(cat.index("a")) == F and body.get(cat.index("c")) == T
             )
 
-    def test_pair_splitting_variant_creates_the_ones(self, tree_net):
-        cat = tree_net.catalog
-        engine = self.eliminate(tree_net, "b", use_absorption=False)
-        ones = [
-            r
-            for r in engine.created
-            if r.body.get(cat.index("a")) == F and r.body.get(cat.index("c")) == T
-        ]
-        assert ones, "expected explicit all-ones confactors without pruning"
-        for r in ones:
-            np.testing.assert_allclose(r.table.array, np.ones(r.table.array.shape))
-
     def test_eliminating_d_rebuilds_the_two_mixtures(self, tree_net):
         cat = tree_net.catalog
         engine = self.eliminate(tree_net, "d")
@@ -360,14 +361,6 @@ class TestQueryEquivalence:
         np.testing.assert_allclose(
             posterior.probabilities, brute_posterior(tree_net, [e]), atol=1e-9
         )
-
-    def test_pair_splitting_path_agrees(self, tree_net):
-        cat = tree_net.catalog
-        for name in ["e", "b", "y"]:
-            q = cat.index(name)
-            a, _ = cve_query(tree_net, [q])
-            b, _ = cve_query(tree_net, [q], use_absorption=False)
-            assert a.max_abs_diff(b) < 1e-9
 
     def test_tabular_network_reduces_to_ve(self, tree_net):
         # re-ingest every family as a dense CPT: bodies all empty

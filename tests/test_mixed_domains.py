@@ -73,8 +73,6 @@ def test_all_engines_agree_on_mixed_domains(seed):
             for engine in (ve_query, cve_query, tve_query):
                 post, _ = engine(net, [query], obs)
                 np.testing.assert_allclose(post.probabilities, want, atol=1e-9)
-            split_post, counters = cve_query(net, [query], obs, use_absorption=False)
-            np.testing.assert_allclose(split_post.probabilities, want, atol=1e-9)
             audited, _ = cve_query(net, [query], obs, audit=True)
             np.testing.assert_allclose(audited.probabilities, want, atol=1e-9)
 
@@ -89,6 +87,5 @@ def test_random_orders_on_mixed_domains():
         for i in range(len(order) - 1, 0, -1):
             j = rng.below(i + 1)
             order[i], order[j] = order[j], order[i]
-        for kwargs in ({}, {"use_absorption": False}):
-            post, _ = cve_query(net, [4], order=order, **kwargs)
-            np.testing.assert_allclose(post.probabilities, want, atol=1e-9)
+        post, _ = cve_query(net, [4], order=order)
+        np.testing.assert_allclose(post.probabilities, want, atol=1e-9)
