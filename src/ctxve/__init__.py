@@ -33,7 +33,7 @@ from .errors import (
     NetworkFormatError,
     ZeroEvidenceError,
 )
-from .bench import BenchRecord, enum_query, run_campaign
+from .bench import ENGINES, BenchRecord, enum_query, run_campaign
 from .network import (
     ContextualBeliefNetwork,
     ParentSkeleton,
@@ -43,7 +43,7 @@ from .network import (
     load,
     save,
 )
-from .orders import min_size_order
+from .orders import Engine, min_size_order
 from .posterior import Posterior
 from .rng import SplitMix64
 from .structure import (
@@ -70,6 +70,7 @@ from .tables import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "ENGINES",
     "BenchRecord",
     "Confactor",
     "Context",
@@ -80,6 +81,7 @@ __all__ = [
     "CtxveError",
     "DomainCatalog",
     "EliminationRecord",
+    "Engine",
     "GenConfig",
     "GroupedFactor",
     "IncompatibleContextsError",

@@ -19,7 +19,7 @@ from .engine_tve import TreeVE
 from .engine_ve import TabularVE
 from .errors import ZeroEvidenceError
 from .network import ContextualBeliefNetwork, joint_table
-from .orders import min_size_order
+from .orders import Engine, check_query, min_size_order
 from .posterior import Posterior, normalize_posterior
 from .rng import SplitMix64
 from .tables import Context, VariableId, sum_out
@@ -31,6 +31,9 @@ CSV_HEADER = (
 
 ENUM_CAP = 1 << 22
 
+# The elimination engines by name; ``enum`` is the oracle, not an engine.
+ENGINES: dict[str, type[Engine]] = {"ve": TabularVE, "cve": ContextualVE, "tve": TreeVE}
+
 
 def enum_query(
     net: ContextualBeliefNetwork,
@@ -40,12 +43,13 @@ def enum_query(
 ) -> Posterior:
     """Posterior by summing the evidence-weighted joint over all completions."""
     obs = obs or Context()
+    query = check_query(net, query_vars, obs)
     joint = joint_table(net, obs, cap=cap)
     table = joint
     for v in joint.vars:
-        if v not in set(query_vars):
+        if v not in query:
             table = sum_out(table, v)
-    return normalize_posterior(table, tuple(sorted(query_vars)), net.catalog)
+    return normalize_posterior(table, query, net.catalog)
 
 
 @dataclass
@@ -72,16 +76,6 @@ class BenchRecord:
             f"{self.time_ms:.3f},{self.mults},{self.adds},{self.splits},"
             f"{self.max_table},{self.max_elim},{self.total_size}"
         )
-
-
-def _make_engine(name: str, net: ContextualBeliefNetwork):
-    if name == "ve":
-        return TabularVE(net)
-    if name == "cve":
-        return ContextualVE(net)
-    if name == "tve":
-        return TreeVE(net)
-    raise ValueError(f"unknown engine: {name!r}")
 
 
 def _input_size(name: str, net: ContextualBeliefNetwork) -> int:
@@ -133,6 +127,9 @@ def run_campaign(
     error row and the campaign continues.  Returns the records plus the CSV
     document (deterministic for a fixed seed, apart from the time_ms column).
     """
+    unknown = [name for name in engines if name not in ENGINES]
+    if unknown:
+        raise ValueError(f"unknown engines: {unknown}")
     rng = SplitMix64(seed)
     records: list[BenchRecord] = []
     for net_id, net in nets:
@@ -153,7 +150,7 @@ def run_campaign(
                 failure = None
                 try:
                     for _ in range(replicates):
-                        engine = _make_engine(name, net)
+                        engine = ENGINES[name](net)
                         start = time.perf_counter()
                         posterior = engine.query([query], obs, list(order))
                         elapsed = (time.perf_counter() - start) * 1000.0

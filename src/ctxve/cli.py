@@ -11,14 +11,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import run_campaign
-from .engine_cve import cve_query
-from .engine_tve import tve_query
-from .engine_ve import ve_query
+from .bench import ENGINES, enum_query, run_campaign
 from .errors import CtxveError, ZeroEvidenceError
-from .bench import enum_query
 from .network import load, save
-from .orders import min_size_order
 from .structure import (
     CompressionConfig,
     GenConfig,
@@ -46,13 +41,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("network")
     p.add_argument("--query", required=True, help="comma-separated variable names")
     p.add_argument("--evidence", default="", help="A=val,B=val")
-    p.add_argument(
-        "--engine", default="cve", choices=["ve", "cve", "tve", "enum"]
-    )
+    p.add_argument("--engine", default="cve", choices=[*ENGINES, "enum"])
     p.add_argument("--order", default=None, help="comma-separated elimination order")
     p.add_argument("--stats", action="store_true", help="print cost counters to stderr")
     p.add_argument(
-        "--audit", action="store_true", help="check engine invariants while running"
+        "--audit", action="store_true", help="check cve's invariants while running"
     )
 
     p = sub.add_parser("gen", help="generate a random contextual network")
@@ -95,33 +88,24 @@ def _cmd_infer(args) -> int:
     net = load(args.network)
     cat = net.catalog
     query = [cat.index(name.strip()) for name in args.query.split(",") if name.strip()]
-    if not query:
-        raise ValueError("empty query")
     obs = cat.parse_context(args.evidence)
-    overlap = set(query) & set(obs.vars())
-    if overlap:
-        names = [cat.names[v] for v in sorted(overlap)]
-        raise ValueError(f"query variables are observed: {names}")
     order = None
     if args.order:
         order = [cat.index(name.strip()) for name in args.order.split(",")]
+    if args.audit and args.engine != "cve":
+        raise ValueError(f"--audit checks the cve engine only, not {args.engine}")
+    engine = None
     if args.engine == "enum":
         posterior = enum_query(net, query, obs)
-        counters = None
-    elif args.engine == "ve":
-        posterior, counters = ve_query(net, query, obs, order)
-    elif args.engine == "tve":
-        posterior, counters = tve_query(net, query, obs, order)
     else:
-        posterior, counters = cve_query(net, query, obs, order, audit=args.audit)
+        options = {"audit": True} if args.audit else {}
+        engine = ENGINES[args.engine](net, **options)
+        posterior = engine.query(query, obs, order)
     for line in posterior.lines():
         print(line)
-    if args.stats and counters is not None:
-        used_order = order if order is not None else min_size_order(net, query, obs)
-        print(
-            "order=" + ",".join(cat.names[v] for v in used_order),
-            file=sys.stderr,
-        )
+    if args.stats and engine is not None:
+        counters = engine.counters
+        print("order=" + ",".join(cat.names[v] for v in engine.order), file=sys.stderr)
         print(
             f"mults={counters.multiplications} adds={counters.additions} "
             f"splits={counters.splits} max_table={counters.max_table_size} "

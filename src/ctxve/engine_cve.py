@@ -28,11 +28,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .confactor import Confactor, split_on_context, tile
+from .confactor import EMPTY, Confactor, split_on_context, tile
 from .counters import CostCounters
 from .errors import InvariantError, ZeroEvidenceError
 from .network import ContextualBeliefNetwork, joint_table
-from .orders import check_order, min_size_order
+from .orders import Engine
 from .posterior import Posterior, extract_posterior
 from .tables import (
     Context,
@@ -42,28 +42,15 @@ from .tables import (
     add_tables,
     compatible,
     context_union,
+    multiply_all,
     multiply_all_sum_out,
-    product,
     set_table,
     sum_out,
 )
 
-EMPTY: frozenset[int] = frozenset()
 # Largest joint state space the audit expands densely.
 AUDIT_CAP = 1 << 16
 _ONE = Table.scalar(1.0)
-
-
-def observed_scalar_is_zero(confactors: Sequence[Confactor], obs: Context) -> bool:
-    """True when some confactor is fully determined by the observation and
-    contributes a zero; the evidence then has probability zero."""
-    for r in confactors:
-        if not compatible(r.body, obs):
-            continue
-        if r.variables() <= set(obs.vars()):
-            if float(set_table(r.table, obs).array) == 0.0:
-                return True
-    return False
 
 
 def incorporate_evidence(
@@ -72,16 +59,31 @@ def incorporate_evidence(
     """Simplify a confactor multiset by an observation, in three steps: drop
     confactors whose bodies contradict it, erase the satisfied body terms,
     substitute the observation into every table.  Confactors left with no
-    variables at all are constants of proportionality and are dropped."""
+    variables at all are constants of proportionality and are dropped.
+
+    Raises :class:`ZeroEvidenceError` when a dropped constant is zero, or
+    when every confactor for an unobserved variable is dropped (possible
+    only on force-loaded, non-exhaustive networks): nothing then supports
+    the observation.
+    """
     out = []
+    dropped: set[int] = set()
     for r in confactors:
         if not compatible(r.body, obs):
+            dropped |= r.for_vars
             continue
         body = Context(p for p in r.body.items() if p[0] not in obs)
         table = set_table(r.table, obs)
         if not body and not table.vars:
+            if float(table.array) == 0.0:
+                raise ZeroEvidenceError("evidence has probability zero")
+            dropped |= r.for_vars
             continue
         out.append(Confactor(body, table, r.for_vars, r.pure_for))
+    if dropped:
+        kept = {v for r in out for v in r.for_vars}
+        if any(v not in obs and v not in kept for v in dropped):
+            raise ZeroEvidenceError("evidence has probability zero")
     return out
 
 
@@ -177,13 +179,12 @@ class _Member:
         self.pure_for = pure_for
 
 
-class ContextualVE:
-    """One engine instance per query over a shared immutable network."""
+class ContextualVE(Engine):
+    """Confactor multisets; the query lifecycle is :meth:`Engine.query`."""
 
     def __init__(self, net: ContextualBeliefNetwork, audit: bool = False):
-        self.net = net
+        super().__init__(net)
         self.audit = audit
-        self.counters = CostCounters()
         self.base: list[Confactor] = []
         self._obs = Context()
         self._eliminated: list[VariableId] = []
@@ -192,23 +193,12 @@ class ContextualVE:
     def confactors_for(self, x: VariableId) -> list[Confactor]:
         return [r for r in self.base if x in r.for_vars]
 
-    # -- query lifecycle ----------------------------------------------------
+    # -- elimination steps --------------------------------------------------
 
     def begin(self, obs: Optional[Context] = None) -> None:
-        self.counters = CostCounters()
         self._obs = obs or Context()
         self._eliminated = []
-        confactors = self.net.all_confactors()
-        if observed_scalar_is_zero(confactors, self._obs):
-            raise ZeroEvidenceError("evidence has probability zero")
-        self.base = incorporate_evidence(confactors, self._obs)
-        # A family whose every member contradicts the observation (possible
-        # only on force-loaded, non-exhaustive networks) leaves the evidence
-        # region without a conditional: nothing supports the observation.
-        tracked = {v for r in self.base for v in r.for_vars}
-        for x in range(self.net.n_vars()):
-            if x not in self._obs and self.net.families[x] and x not in tracked:
-                raise ZeroEvidenceError("evidence has probability zero")
+        self.base = incorporate_evidence(self.net.all_confactors(), self._obs)
         if self.audit:
             self._reference = joint_table(self.net, self._obs, cap=AUDIT_CAP)
             self._check_invariants()
@@ -249,22 +239,6 @@ class ContextualVE:
 
     def finish(self, query_vars: Sequence[VariableId]) -> Posterior:
         return extract_posterior(self.base, query_vars, self.net.catalog, self.counters)
-
-    def query(
-        self,
-        query_vars: Sequence[VariableId],
-        obs: Optional[Context] = None,
-        order: Optional[Sequence[VariableId]] = None,
-    ) -> Posterior:
-        obs = obs or Context()
-        if order is None:
-            order = min_size_order(self.net, query_vars, obs)
-        else:
-            order = check_order(self.net, order, query_vars, obs)
-        self.begin(obs)
-        for y in order:
-            self.eliminate(y)
-        return self.finish(query_vars)
 
     # -- absorption ---------------------------------------------------------
 
@@ -316,11 +290,8 @@ class ContextualVE:
                 # A pure piece may face an impure sibling at another value
                 # of y, so body occurrences are pruned after the group sum,
                 # when the whole fold is known to be pure.
-                tables = sorted(m.tables, key=lambda t: t.size)
-                acc = tables[0]
-                for t in tables[1:]:
-                    acc = product(acc, t, counters)
-                    counters.note_tables([acc.size])
+                acc, sizes = multiply_all(m.tables, counters)
+                counters.note_tables(sizes)
                 groups[m.body.get(y)].append(
                     Confactor(m.body.without(y), acc, m.for_vars, m.pure_for)
                 )
@@ -329,8 +300,7 @@ class ContextualVE:
                 # fragment whose sum over y is all ones.
                 if y in m.pure_for:
                     continue
-                tables = sorted(m.tables, key=lambda t: t.size)
-                result, sizes = multiply_all_sum_out(tables, y, counters)
+                result, sizes = multiply_all_sum_out(m.tables, y, counters)
                 counters.note_tables(sizes)
                 created.append(
                     Confactor(
@@ -423,5 +393,4 @@ def cve_query(
     audit: bool = False,
 ) -> tuple[Posterior, CostCounters]:
     engine = ContextualVE(net, audit=audit)
-    posterior = engine.query(query_vars, obs, order)
-    return posterior, engine.counters
+    return engine.query(query_vars, obs, order), engine.counters

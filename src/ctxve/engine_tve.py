@@ -16,14 +16,10 @@ from typing import Optional, Sequence
 
 from .confactor import Confactor
 from .counters import CostCounters
-from .engine_cve import (
-    incorporate_evidence,
-    observed_scalar_is_zero,
-    sum_out_confactor_set,
-)
-from .errors import InvariantError, ZeroEvidenceError
+from .engine_cve import incorporate_evidence, sum_out_confactor_set
+from .errors import InvariantError
 from .network import ContextualBeliefNetwork
-from .orders import check_order, min_size_order
+from .orders import Engine
 from .posterior import Posterior, normalize_posterior, tile_confactors
 from .tables import (
     Context,
@@ -39,10 +35,9 @@ from .tables import (
 class GroupedFactor:
     """A complete confactor set standing in for one tabular factor."""
 
-    __slots__ = ("gid", "members", "signature")
+    __slots__ = ("members", "signature")
 
-    def __init__(self, gid: frozenset[int], members: Sequence[Confactor]):
-        self.gid = gid
+    def __init__(self, members: Sequence[Confactor]):
         self.members = list(members)
         self.signature: frozenset[int] = frozenset(
             v for r in self.members for v in r.variables()
@@ -85,31 +80,36 @@ def tve_multiply(
             members.append(
                 Confactor(body, table, a.for_vars | b.for_vars, frozenset())
             )
-    result = GroupedFactor(g1.gid | g2.gid, members)
+    result = GroupedFactor(members)
     if result.total_size() > result.signature_space(catalog):
         raise InvariantError("grouped factor exceeds its dense factor size")
     return result
 
 
-class TreeVE:
-    """One engine instance per query over a shared immutable network."""
+class TreeVE(Engine):
+    """Grouped confactor sets; the query lifecycle is :meth:`Engine.query`."""
 
     def __init__(self, net: ContextualBeliefNetwork):
-        self.net = net
-        self.counters = CostCounters()
+        super().__init__(net)
         self.groups: list[GroupedFactor] = []
-        self._obs = Context()
 
     def begin(self, obs: Optional[Context] = None) -> None:
-        self.counters = CostCounters()
-        self._obs = obs or Context()
+        obs = obs or Context()
         self.groups = []
-        if observed_scalar_is_zero(self.net.all_confactors(), self._obs):
-            raise ZeroEvidenceError("evidence has probability zero")
         for x in range(self.net.n_vars()):
-            members = incorporate_evidence(self.net.families[x], self._obs)
+            members = incorporate_evidence(self.net.families[x], obs)
             if members:
-                self.groups.append(GroupedFactor(frozenset({x}), members))
+                self.groups.append(GroupedFactor(members))
+
+    def _merge(self, groups: Sequence[GroupedFactor]) -> GroupedFactor:
+        """Multiply groups pairwise in the tabular engine's order: ascending
+        by the size of the dense factor each group stands for."""
+        catalog = self.net.catalog
+        ordered = sorted(groups, key=lambda g: g.signature_space(catalog))
+        merged = ordered[0]
+        for g in ordered[1:]:
+            merged = tve_multiply(catalog, merged, g, self.counters)
+        return merged
 
     def eliminate(self, y: VariableId) -> None:
         involved = [g for g in self.groups if g.involves(y)]
@@ -117,17 +117,11 @@ class TreeVE:
             self.counters.record_elimination(y, (), 0)
             return
         rest = [g for g in self.groups if not g.involves(y)]
-        catalog = self.net.catalog
-        # The merge order mirrors the tabular engine: ascending by the size
-        # of the dense factor each group stands for.
-        involved.sort(key=lambda g: g.signature_space(catalog))
-        merged = involved[0]
-        for g in involved[1:]:
-            merged = tve_multiply(catalog, merged, g, self.counters)
-        members = sum_out_confactor_set(catalog, merged.members, y, self.counters)
+        merged = self._merge(involved)
+        members = sum_out_confactor_set(self.net.catalog, merged.members, y, self.counters)
         created = [r.size for r in members]
         self.counters.note_tables(created)
-        result = GroupedFactor(merged.gid, members)
+        result = GroupedFactor(members)
         if result.members:
             rest.append(result)
         self.groups = rest
@@ -141,10 +135,7 @@ class TreeVE:
         query = tuple(sorted(query_vars))
         if not self.groups:
             raise InvariantError("no grouped factors mention the query variables")
-        remaining = sorted(self.groups, key=lambda g: g.signature_space(catalog))
-        merged = remaining[0]
-        for g in remaining[1:]:
-            merged = tve_multiply(catalog, merged, g, self.counters)
+        merged = self._merge(self.groups)
         for r in merged.members:
             if not r.variables() <= set(query):
                 raise InvariantError("grouped factor mentions uneliminated variables")
@@ -154,22 +145,6 @@ class TreeVE:
         table = tile_confactors(merged.members, query, catalog)
         return normalize_posterior(table, query, catalog)
 
-    def query(
-        self,
-        query_vars: Sequence[VariableId],
-        obs: Optional[Context] = None,
-        order: Optional[Sequence[VariableId]] = None,
-    ) -> Posterior:
-        obs = obs or Context()
-        if order is None:
-            order = min_size_order(self.net, query_vars, obs)
-        else:
-            order = check_order(self.net, order, query_vars, obs)
-        self.begin(obs)
-        for y in order:
-            self.eliminate(y)
-        return self.finish(query_vars)
-
 
 def tve_query(
     net: ContextualBeliefNetwork,
@@ -178,5 +153,4 @@ def tve_query(
     order: Optional[Sequence[VariableId]] = None,
 ) -> tuple[Posterior, CostCounters]:
     engine = TreeVE(net)
-    posterior = engine.query(query_vars, obs, order)
-    return posterior, engine.counters
+    return engine.query(query_vars, obs, order), engine.counters

@@ -15,12 +15,13 @@ from typing import Optional, Sequence
 from .counters import CostCounters
 from .errors import InvariantError, ZeroEvidenceError
 from .network import ContextualBeliefNetwork
-from .orders import check_order, min_size_order
+from .orders import Engine
 from .posterior import Posterior, normalize_posterior
 from .tables import (
     Context,
     Table,
     VariableId,
+    multiply_all,
     multiply_all_sum_out,
     product,
     set_table,
@@ -66,22 +67,19 @@ def multiply_factors(
     return acc, count
 
 
-class TabularVE:
-    """One engine instance per query; the network is shared and immutable."""
+class TabularVE(Engine):
+    """Dense factors; the query lifecycle is :meth:`Engine.query`."""
 
     def __init__(self, net: ContextualBeliefNetwork):
-        self.net = net
-        self.counters = CostCounters()
+        super().__init__(net)
         self.factors: list[Table] = []
-        self._obs = Context()
 
     def begin(self, obs: Optional[Context] = None) -> None:
         """Expand the network to tables and substitute the evidence."""
-        self.counters = CostCounters()
-        self._obs = obs or Context()
+        obs = obs or Context()
         self.factors = []
         for x in range(self.net.n_vars()):
-            factor = set_table(self.net.tabular_factor(x), self._obs)
+            factor = set_table(self.net.tabular_factor(x), obs)
             if factor.vars:
                 self.factors.append(factor)
             elif float(factor.array) == 0.0:
@@ -95,7 +93,6 @@ class TabularVE:
             self.counters.record_elimination(y, (), 0)
             return
         rest = [f for f in self.factors if not f.involves(y)]
-        involved.sort(key=lambda t: t.size)
         result, created = multiply_all_sum_out(involved, y, self.counters)
         # A scalar result is a constant of proportionality, as in ``begin``.
         if result.vars:
@@ -112,31 +109,12 @@ class TabularVE:
                 raise InvariantError("factor mentions uneliminated variables")
         if not self.factors:
             raise InvariantError("no factors mention the query variables")
-        ordered = sorted(self.factors, key=lambda t: t.size)
-        acc = ordered[0]
-        for t in ordered[1:]:
-            acc = product(acc, t, self.counters)
+        acc, _ = multiply_all(self.factors, self.counters)
         covered = set(acc.vars)
         if covered != set(query):
             missing = sorted(set(query) - covered)
             raise InvariantError(f"no factor mentions query variables: {missing}")
         return normalize_posterior(acc, query, self.net.catalog)
-
-    def query(
-        self,
-        query_vars: Sequence[VariableId],
-        obs: Optional[Context] = None,
-        order: Optional[Sequence[VariableId]] = None,
-    ) -> Posterior:
-        obs = obs or Context()
-        if order is None:
-            order = min_size_order(self.net, query_vars, obs)
-        else:
-            order = check_order(self.net, order, query_vars, obs)
-        self.begin(obs)
-        for y in order:
-            self.eliminate(y)
-        return self.finish(query_vars)
 
 
 def ve_query(
@@ -146,5 +124,4 @@ def ve_query(
     order: Optional[Sequence[VariableId]] = None,
 ) -> tuple[Posterior, CostCounters]:
     engine = TabularVE(net)
-    posterior = engine.query(query_vars, obs, order)
-    return posterior, engine.counters
+    return engine.query(query_vars, obs, order), engine.counters

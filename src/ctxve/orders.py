@@ -1,6 +1,13 @@
-"""Elimination-order construction shared by all engines.
+"""The query lifecycle and the elimination orders shared by all engines.
 
-The default heuristic is greedy min-size: repeatedly eliminate the variable
+:class:`Engine` holds the only ``query()``: it validates the query, picks or
+checks the elimination order, then runs the subclass's per-variable step:
+``begin(obs)`` substitutes the evidence, ``eliminate(y)`` removes one
+variable, ``finish(query_vars)`` multiplies what is left and normalizes.
+A query must be non-empty, name existing variables, repeat none and observe
+none; any other query raises ``ValueError`` before any work is done.
+
+The default order is greedy min-size: repeatedly eliminate the variable
 whose elimination builds the smallest factor, measured as the product of the
 domain sizes of the union of the variables of all factors involving it.
 Scopes are simulated on the tabular factor structure so that every engine
@@ -12,8 +19,62 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
+from .counters import CostCounters
 from .network import ContextualBeliefNetwork
+from .posterior import Posterior
 from .tables import Context, VariableId
+
+
+class Engine:
+    """One engine instance per query over a shared immutable network.
+
+    After :meth:`query`, ``counters`` holds the query's costs and ``order``
+    the elimination order it ran.
+    """
+
+    def __init__(self, net: ContextualBeliefNetwork):
+        self.net = net
+        self.counters = CostCounters()
+        self.order: list[VariableId] = []
+
+    def query(
+        self,
+        query_vars: Sequence[VariableId],
+        obs: Optional[Context] = None,
+        order: Optional[Sequence[VariableId]] = None,
+    ) -> Posterior:
+        obs = obs or Context()
+        query = check_query(self.net, query_vars, obs)
+        if order is None:
+            self.order = min_size_order(self.net, query, obs)
+        else:
+            self.order = check_order(self.net, order, query, obs)
+        self.counters = CostCounters()
+        self.begin(obs)
+        for y in self.order:
+            self.eliminate(y)
+        return self.finish(query)
+
+
+def check_query(
+    net: ContextualBeliefNetwork, query_vars: Sequence[VariableId], obs: Context
+) -> list[VariableId]:
+    """Validate a query and return it as a list: it must be non-empty, and
+    its variables must exist, be distinct and be unobserved."""
+    query = list(query_vars)
+    if not query:
+        raise ValueError("empty query")
+    unknown = [v for v in query if not 0 <= v < net.n_vars()]
+    if unknown:
+        raise ValueError(f"unknown query variable ids: {unknown}")
+    names = net.catalog.names
+    if len(set(query)) != len(query):
+        repeated = sorted({names[v] for v in query if query.count(v) > 1})
+        raise ValueError(f"query repeats variables: {repeated}")
+    observed = [names[v] for v in sorted(set(query) & set(obs.vars()))]
+    if observed:
+        raise ValueError(f"query variables are observed: {observed}")
+    return query
 
 
 def min_size_order(

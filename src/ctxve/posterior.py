@@ -18,7 +18,7 @@ from .tables import (
     DomainCatalog,
     Table,
     VariableId,
-    product,
+    multiply_all,
     reorder,
 )
 
@@ -117,8 +117,5 @@ def extract_posterior(
     if covered != qset:
         missing = sorted(qset - covered)
         raise ValueError(f"no remaining confactor mentions query variables: {missing}")
-    expansions.sort(key=lambda t: t.size)
-    acc = expansions[0]
-    for t in expansions[1:]:
-        acc = product(acc, t, counters)
+    acc, _ = multiply_all(expansions, counters)
     return normalize_posterior(acc, query, catalog)

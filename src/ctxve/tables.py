@@ -88,7 +88,8 @@ class DomainCatalog:
         return Context(items)
 
     def parse_context(self, text: str) -> "Context":
-        """Parse ``"a=true,b=false"`` into a context; empty text is the empty context."""
+        """Parse ``"a=true,b=false"`` into a context; empty text is the empty
+        context, and a variable given twice is a ``ValueError``."""
         text = text.strip()
         if not text:
             return Context()
@@ -96,8 +97,10 @@ class DomainCatalog:
         for chunk in text.split(","):
             if "=" not in chunk:
                 raise ValueError(f"expected name=value, got {chunk!r}")
-            name, label = chunk.split("=", 1)
-            pairs[name.strip()] = label.strip()
+            name, label = (part.strip() for part in chunk.split("=", 1))
+            if name in pairs:
+                raise ValueError(f"variable {name!r} is given twice")
+            pairs[name] = label
         return self.context(pairs)
 
     def assignments(self, vars: Sequence[VariableId]) -> Iterator[tuple[int, ...]]:
@@ -321,11 +324,28 @@ def reorder(table: Table, vars: Sequence[VariableId]) -> Table:
     return Table(vars, np.transpose(table.array, perm))
 
 
+def multiply_all(
+    tables: Sequence[Table], counters=None
+) -> tuple[Table, list[int]]:
+    """Product of ``tables``, smallest first: a stable sort by ascending size,
+    then a left fold.  Returns the product and the sizes of the pairwise
+    products it created, in order (empty for a single table)."""
+    if not tables:
+        raise ValueError("nothing to multiply")
+    ordered = sorted(tables, key=lambda t: t.size)
+    acc = ordered[0]
+    created: list[int] = []
+    for t in ordered[1:]:
+        acc = product(acc, t, counters)
+        created.append(acc.size)
+    return acc, created
+
+
 def multiply_all_sum_out(
     tables: Sequence[Table], y: VariableId, counters=None
 ) -> tuple[Table, list[int]]:
-    """Left-fold product of ``tables`` with the final product fused into the
-    sum over ``y``.
+    """Product of ``tables`` in :func:`multiply_all`'s order, with the final
+    product fused into the sum over ``y``.
 
     Intermediate pairwise products are materialized; the last product is
     only accounted for (its multiplications equal the virtual product size)
@@ -334,16 +354,11 @@ def multiply_all_sum_out(
     """
     if not tables:
         raise ValueError("nothing to multiply")
-    created: list[int] = []
-    if len(tables) == 1:
-        result = sum_out(tables[0], y, counters)
-        created.append(result.size)
-        return result, created
-    acc = tables[0]
-    for t in tables[1:-1]:
-        acc = product(acc, t, counters)
-        created.append(acc.size)
-    last = tables[-1]
+    *head, last = sorted(tables, key=lambda t: t.size)
+    if not head:
+        result = sum_out(last, y, counters)
+        return result, [result.size]
+    acc, created = multiply_all(head, counters)
     out_vars = _union_vars(acc, last)
     virtual = _broadcast_to(acc, out_vars) * _broadcast_to(last, out_vars)
     if counters is not None:

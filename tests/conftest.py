@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from ctxve import (
+    ENGINES,
     Confactor,
     Context,
     ContextualBeliefNetwork,
     DomainCatalog,
     SplitMix64,
     Table,
+    enum_query,
 )
 
 BOOL = ("true", "false")
@@ -195,6 +197,17 @@ def brute_posterior(net: ContextualBeliefNetwork, query, obs=None) -> np.ndarray
             prob *= r.table.lookup({v: combo[v] for v in r.table.vars})
         out[tuple(combo[v] for v in query)] += prob
     return out / out.sum()
+
+
+def answer_paths():
+    """Every answer path by name, as ``answer(net, query_vars, obs) -> Posterior``:
+    each engine of ``ENGINES`` through ``Engine.query``, and ``enum``."""
+    paths = {
+        name: lambda net, query, obs, cls=cls: cls(net).query(query, obs)
+        for name, cls in ENGINES.items()
+    }
+    paths["enum"] = enum_query
+    return paths
 
 
 def find_confactor(items, catalog, body_text):

@@ -16,7 +16,7 @@ from ctxve import (
 )
 from ctxve.bench import CSV_HEADER
 
-from conftest import brute_posterior, ctx
+from conftest import answer_paths, brute_posterior, ctx
 
 
 class TestEnumQuery:
@@ -64,6 +64,25 @@ class TestEnumQuery:
             np.testing.assert_allclose(
                 got.probabilities, brute_posterior(tree_net, [q]), atol=1e-12
             )
+
+
+def test_every_path_rejects_the_same_bad_queries():
+    # a repeated, an unknown, an observed and an empty query
+    net = generate_random_cbn(GenConfig(n=5, s=2, seed=1))
+    cases = [
+        ([0, 0], Context(), "repeats"),
+        ([99], Context(), "unknown"),
+        ([0], Context([(0, 0)]), "observed"),
+        ([], Context(), "empty"),
+    ]
+    for query, obs, word in cases:
+        messages = set()
+        for name, answer in answer_paths().items():
+            with pytest.raises(ValueError, match=word) as info:
+                answer(net, query, obs)
+            assert type(info.value) is ValueError, name
+            messages.add(str(info.value))
+        assert len(messages) == 1, messages
 
 
 def test_all_engines_agree_on_regression_networks():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ctxve import load, save
+from ctxve import Context, load, min_size_order, save
 from ctxve.cli import main
 
 from conftest import tree_network
@@ -86,6 +86,35 @@ class TestInfer:
         )
         assert code == 0
         assert "max_elim=16" in err
+        assert "order=b,d,c,a,y,z" in err
+        # without --order, --stats prints the default order the engine ran
+        net = load(tree_path)
+        cat = net.catalog
+        default = min_size_order(net, [cat.index("e")], Context())
+        for engine in ("ve", "cve", "tve"):
+            code, _, err = run(
+                capsys, "infer", tree_path, "--query", "e", "--engine", engine, "--stats"
+            )
+            assert code == 0
+            assert "order=" + ",".join(cat.names[v] for v in default) in err
+
+    def test_variable_given_twice_in_evidence_is_usage_error(self, capsys, tree_path):
+        code, out, err = run(
+            capsys, "infer", tree_path, "--query", "e",
+            "--evidence", "d=true,d=false",
+        )
+        assert code == 1
+        assert out == ""
+        assert "given twice" in err
+
+    def test_audit_needs_the_cve_engine(self, capsys, tree_path):
+        for engine in ("ve", "tve", "enum"):
+            code, out, err = run(
+                capsys, "infer", tree_path, "--query", "e", "--engine", engine, "--audit"
+            )
+            assert code == 1, engine
+            assert out == ""
+            assert "--audit" in err
 
     def test_unknown_variable_is_usage_error(self, capsys, tree_path):
         code, _, err = run(capsys, "infer", tree_path, "--query", "nope")

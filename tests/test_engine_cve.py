@@ -29,6 +29,7 @@ from ctxve.engine_cve import ContextualVE, sum_out_confactor_set
 from conftest import (
     F,
     T,
+    answer_paths,
     brute_posterior,
     ctx,
     find_confactor,
@@ -78,8 +79,9 @@ class TestEvidence:
                 [Confactor(Context(), cat.table((0, 1), [0.3, 0.7, 0.5, 0.5]))],
             ],
         )
-        with pytest.raises(ZeroEvidenceError, match="probability zero"):
-            cve_query(net, [1], Context([(0, 1)]))
+        for name, answer in answer_paths().items():
+            with pytest.raises(ZeroEvidenceError, match="probability zero"):
+                answer(net, [1], Context([(0, 1)]))
 
     def test_family_emptied_by_observation(self):
         # a non-exhaustive family (force-built) that only covers x=true:
@@ -93,8 +95,9 @@ class TestEvidence:
             ],
         )
         assert net.validate() != []
-        with pytest.raises(ZeroEvidenceError, match="probability zero"):
-            cve_query(net, [1], Context([(0, 1)]))
+        for name, answer in answer_paths().items():
+            with pytest.raises(ZeroEvidenceError, match="probability zero"):
+                answer(net, [1], Context([(0, 1)]))
 
 
 def eliminated(net, var_name):

@@ -27,11 +27,9 @@ class TestTveMultiply:
     def test_single_member_groups_multiply_like_tables(self, tree_net):
         cat = tree_net.catalog
         g1 = GroupedFactor(
-            frozenset({1}),
             [Confactor(Context(), table(cat, ["b", "e"], [0.55, 0.45, 0.3, 0.7]))],
         )
         g2 = GroupedFactor(
-            frozenset({2}),
             [Confactor(Context(), table(cat, ["b", "z"], [0.77, 0.17, 0.23, 0.83]))],
         )
         out = tve_multiply(cat, g1, g2)
@@ -44,14 +42,12 @@ class TestTveMultiply:
     def test_incompatible_members_vanish(self, tree_net):
         cat = tree_net.catalog
         g1 = GroupedFactor(
-            frozenset({1}),
             [
                 Confactor(ctx(cat, "a=true"), table(cat, ["e"], [0.3, 0.7])),
                 Confactor(ctx(cat, "a=false"), table(cat, ["e"], [0.6, 0.4])),
             ],
         )
         g2 = GroupedFactor(
-            frozenset({2}),
             [
                 Confactor(ctx(cat, "a=true"), table(cat, ["z"], [0.2, 0.8])),
                 Confactor(ctx(cat, "a=false"), table(cat, ["z"], [0.9, 0.1])),
@@ -72,14 +68,12 @@ class TestTveMultiply:
             return [rng.uniform() for _ in range(n)]
 
         g1 = GroupedFactor(
-            frozenset({0}),
             [
                 Confactor(Context([(p, 0)]), cat.table((q, r), rnd(4))),
                 Confactor(Context([(p, 1)]), cat.table((q,), rnd(2))),
             ],
         )
         g2 = GroupedFactor(
-            frozenset({1}),
             [
                 Confactor(Context([(q, 0)]), cat.table((p, s), rnd(4))),
                 Confactor(Context([(q, 1)]), cat.table((s,), rnd(2))),

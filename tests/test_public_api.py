@@ -1,10 +1,13 @@
 """The package's export list: ``__all__`` and the names ``__init__`` imports
-must agree, and every listed name must resolve."""
+must agree, and every listed name must resolve.  The engine table is the
+single list of engines: each one supplies the per-variable step, and the
+CLI offers exactly those engines plus the ``enum`` oracle."""
 
 import ast
 from pathlib import Path
 
 import ctxve
+from ctxve.cli import _build_parser
 
 
 def imported_names() -> set[str]:
@@ -25,3 +28,18 @@ def test_every_listed_name_resolves():
 def test_every_import_is_listed():
     unlisted = imported_names() - set(ctxve.__all__)
     assert sorted(unlisted) == []
+
+
+def test_every_engine_defines_the_per_variable_step():
+    for name, cls in ctxve.ENGINES.items():
+        assert issubclass(cls, ctxve.Engine), name
+        for method in ("begin", "eliminate", "finish"):
+            assert method in vars(cls), (name, method)
+        assert "query" not in vars(cls), name
+
+
+def test_cli_engine_choices_are_the_engine_table_plus_enum():
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    (engine,) = [a for a in commands.choices["infer"]._actions if a.dest == "engine"]
+    assert list(engine.choices) == [*ctxve.ENGINES, "enum"]
