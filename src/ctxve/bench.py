@@ -117,7 +117,6 @@ def run_campaign(
     seed: int = 0,
     engines: Sequence[str] = ("ve", "cve", "tve"),
     replicates: int = 3,
-    check_agreement: bool = True,
 ) -> tuple[list[BenchRecord], str]:
     """Run every engine on uniformly sampled queries over the given networks.
 
@@ -186,7 +185,7 @@ def run_campaign(
                         _input_size(name, net),
                     )
                 )
-            if check_agreement and len(posteriors) > 1:
+            if len(posteriors) > 1:
                 names = sorted(posteriors)
                 for i in range(len(names)):
                     for j in range(i + 1, len(names)):

@@ -94,8 +94,9 @@ def _cmd_infer(args) -> int:
         order = [cat.index(name.strip()) for name in args.order.split(",")]
     if args.audit and args.engine != "cve":
         raise ValueError(f"--audit checks the cve engine only, not {args.engine}")
-    engine = None
     if args.engine == "enum":
+        if order is not None or args.stats:
+            raise ValueError("--order and --stats need an elimination engine, not enum")
         posterior = enum_query(net, query, obs)
     else:
         options = {"audit": True} if args.audit else {}
@@ -103,7 +104,7 @@ def _cmd_infer(args) -> int:
         posterior = engine.query(query, obs, order)
     for line in posterior.lines():
         print(line)
-    if args.stats and engine is not None:
+    if args.stats:
         counters = engine.counters
         print("order=" + ",".join(cat.names[v] for v in engine.order), file=sys.stderr)
         print(

@@ -1,11 +1,14 @@
-"""Contextual factors and the two primitives contextual elimination rests on.
+"""Contextual factors and the primitives contextual elimination rests on.
 
 A confactor pairs a body context with a table over disjoint variables; it is
 a partial function that only has a value where its body holds.
-:func:`split_on_context` splits a body and its tables on a context, and
+:func:`split_on_context` splits a body and its tables on a context,
 :func:`tile` places tables in the blocks of a dense array where their bodies
-hold; every engine, the network's dense expansion and the posterior
-extraction go through these two.  Engines track
+hold, and :func:`pairwise` combines the compatible pairs of two confactor
+sets (the tree engine's product and the group sum of body occurrences);
+every engine, the network's dense expansion and the posterior extraction go
+through these.  :func:`partition_faults` is the one check that a set of
+bodies is mutually exclusive and exhaustive.  Engines track
 two bookkeeping sets per confactor: ``for_vars``, the variables whose
 conditional-probability family this confactor descends from, and
 ``pure_for``, the subset for which summing the variable out of the table is
@@ -15,7 +18,9 @@ when that variable is eliminated).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+import itertools
+import math
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +31,7 @@ from .tables import (
     VariableId,
     _broadcast_to,
     compatible,
+    context_union,
     set_table,
 )
 
@@ -95,6 +101,54 @@ def value_at(r: Confactor, c: Context) -> float:
             raise ValueError("context does not determine table")
         idx.append(val)
     return float(r.table.array[tuple(idx)])
+
+
+def partition_faults(catalog: DomainCatalog, bodies: Sequence[Context]) -> list[str]:
+    """Why ``bodies`` are not mutually exclusive and exhaustive over the
+    variables they mention; empty iff they are.
+
+    Exhaustiveness is counted exactly: each body covers one cell per
+    assignment of the mentioned variables it leaves free, and disjoint
+    bodies must cover every cell.
+    """
+    faults = [
+        f"bodies {i} and {j} are compatible (overlapping cover)"
+        for (i, a), (j, b) in itertools.combinations(enumerate(bodies), 2)
+        if compatible(a, b)
+    ]
+    mentioned = {v for c in bodies for v in c.vars()}
+    space = math.prod(catalog.size(v) for v in mentioned)
+    covered = sum(
+        math.prod(catalog.size(v) for v in mentioned if v not in c) for c in bodies
+    )
+    if covered != space:
+        faults.append(f"bodies cover {covered} of {space} cells (not exhaustive)")
+    return faults
+
+
+def pairwise(
+    a_items: Iterable[Confactor],
+    b_items: Sequence[Confactor],
+    op: Callable[..., Table],
+    counters=None,
+) -> list[Confactor]:
+    """Combine every compatible pair ``(a, b)``: the union of the bodies and
+    ``op`` (``product`` or ``add_tables``) of the two tables, each reduced on
+    the other's body.  Incompatible pairs vanish.  Provenance unites and
+    purity intersects."""
+    out = []
+    for a in a_items:
+        for b in b_items:
+            if compatible(a.body, b.body):
+                out.append(
+                    Confactor(
+                        context_union(a.body, b.body),
+                        op(set_table(a.table, b.body), set_table(b.table, a.body), counters),
+                        a.for_vars | b.for_vars,
+                        a.pure_for & b.pure_for,
+                    )
+                )
+    return out
 
 
 def split_on_context(

@@ -22,13 +22,11 @@ audit's dense expansions through :func:`~ctxve.confactor.tile`.
 
 from __future__ import annotations
 
-import itertools
-import math
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .confactor import EMPTY, Confactor, split_on_context, tile
+from .confactor import EMPTY, Confactor, pairwise, partition_faults, split_on_context, tile
 from .counters import CostCounters
 from .errors import InvariantError, ZeroEvidenceError
 from .network import ContextualBeliefNetwork, joint_table
@@ -41,7 +39,6 @@ from .tables import (
     VariableId,
     add_tables,
     compatible,
-    context_union,
     multiply_all,
     multiply_all_sum_out,
     set_table,
@@ -96,8 +93,9 @@ def sum_out_body_occurrences(
 
     ``groups[i]`` holds the confactors that carried value i of the variable
     in their bodies, with that term already stripped.  The groups are folded
-    pairwise: compatible members contribute the union of their bodies and
-    the pointwise sum of their mutually reduced tables.
+    with :func:`~ctxve.confactor.pairwise` and ``add_tables``: compatible
+    members contribute the union of their bodies and the pointwise sum of
+    their mutually reduced tables.
     """
     sizes = [len(g) for g in groups]
     if any(sizes) and not all(sizes):
@@ -108,26 +106,7 @@ def sum_out_body_occurrences(
         return []
     acc = list(groups[0])
     for other in groups[1:]:
-        nxt = []
-        for a in acc:
-            for b in other:
-                if not compatible(a.body, b.body):
-                    continue
-                body = context_union(a.body, b.body)
-                table = add_tables(
-                    set_table(a.table, b.body),
-                    set_table(b.table, a.body),
-                    counters,
-                )
-                nxt.append(
-                    Confactor(
-                        body,
-                        table,
-                        a.for_vars | b.for_vars,
-                        a.pure_for & b.pure_for,
-                    )
-                )
-        acc = nxt
+        acc = pairwise(acc, other, add_tables, counters)
     return acc
 
 
@@ -237,8 +216,8 @@ class ContextualVE(Engine):
         if self.audit:
             self._check_invariants()
 
-    def finish(self, query_vars: Sequence[VariableId]) -> Posterior:
-        return extract_posterior(self.base, query_vars, self.net.catalog, self.counters)
+    def finish(self, query_vars: Sequence[VariableId]) -> Table:
+        return extract_posterior(self.base, self.net.catalog, self.counters)
 
     # -- absorption ---------------------------------------------------------
 
@@ -359,29 +338,10 @@ class ContextualVE(Engine):
                 raise InvariantError("confactor products diverge from the joint")
         # Each tracked family must stay mutually exclusive and covering.
         for x in remaining:
-            fam = self.confactors_for(x)
-            if not fam:
+            faults = partition_faults(catalog, [r.body for r in self.confactors_for(x)])
+            if faults:
                 raise InvariantError(
-                    f"no confactors tracked for {catalog.names[x]}"
-                )
-            for a, b in itertools.combinations(fam, 2):
-                if compatible(a.body, b.body):
-                    raise InvariantError(
-                        f"tracked confactors for {catalog.names[x]} overlap"
-                    )
-            mentioned = {v for r in fam for v in r.body.vars()}
-            space = math.prod(catalog.size(v) for v in mentioned) if mentioned else 1
-            covered_cells = sum(
-                math.prod(
-                    catalog.size(v) for v in mentioned if v not in r.body
-                )
-                if mentioned
-                else 1
-                for r in fam
-            )
-            if covered_cells != space:
-                raise InvariantError(
-                    f"tracked confactors for {catalog.names[x]} do not cover"
+                    f"tracked confactors for {catalog.names[x]}: " + "; ".join(faults)
                 )
 
 

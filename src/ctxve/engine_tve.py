@@ -7,6 +7,12 @@ for the compatible pieces.  This is the control that separates the benefit
 of contextual tables from the benefit of contextual VE's lazy multiplication:
 here every pending multiplication is performed eagerly, as in the tabular
 engine.
+
+Two groups multiply through :func:`~ctxve.confactor.pairwise` with
+``product``; eliminating a variable sums it out of the merged group with
+:func:`~ctxve.engine_cve.sum_out_confactor_set`.  ``finish`` merges what is
+left and tiles it densely over its signature; the query lifecycle checks
+that the signature is the query and normalizes.
 """
 
 from __future__ import annotations
@@ -14,22 +20,14 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .confactor import Confactor
+from .confactor import Confactor, pairwise
 from .counters import CostCounters
 from .engine_cve import incorporate_evidence, sum_out_confactor_set
 from .errors import InvariantError
 from .network import ContextualBeliefNetwork
 from .orders import Engine
-from .posterior import Posterior, normalize_posterior, tile_confactors
-from .tables import (
-    Context,
-    DomainCatalog,
-    VariableId,
-    compatible,
-    context_union,
-    product,
-    set_table,
-)
+from .posterior import Posterior, tile_confactors
+from .tables import Context, DomainCatalog, Table, VariableId, product
 
 
 class GroupedFactor:
@@ -62,24 +60,14 @@ def tve_multiply(
     """Multiply two grouped factors member by member.
 
     Every compatible member pair contributes the union of its bodies and the
-    product of its mutually reduced tables; incompatible pairs vanish.  The
-    result is complete again and its total table size never exceeds the size
-    of the corresponding dense factor.
+    product of its mutually reduced tables (:func:`~ctxve.confactor.pairwise`
+    with ``product``); incompatible pairs vanish.  The result is complete
+    again and its total table size never exceeds the size of the
+    corresponding dense factor.
     """
-    members = []
-    for a in g1.members:
-        for b in g2.members:
-            if not compatible(a.body, b.body):
-                continue
-            body = context_union(a.body, b.body)
-            table = product(
-                set_table(a.table, b.body), set_table(b.table, a.body), counters
-            )
-            if counters is not None:
-                counters.note_tables([table.size])
-            members.append(
-                Confactor(body, table, a.for_vars | b.for_vars, frozenset())
-            )
+    members = pairwise(g1.members, g2.members, product, counters)
+    if counters is not None:
+        counters.note_tables([r.size for r in members])
     result = GroupedFactor(members)
     if result.total_size() > result.signature_space(catalog):
         raise InvariantError("grouped factor exceeds its dense factor size")
@@ -127,23 +115,12 @@ class TreeVE(Engine):
         self.groups = rest
         self.counters.record_elimination(y, created, result.total_size())
 
-    def finish(self, query_vars: Sequence[VariableId]) -> Posterior:
-        """Multiply the remaining groups pairwise (the tabular engine's
-        renormalization, group by group) and read the posterior off the
-        resulting complete confactor set."""
-        catalog = self.net.catalog
-        query = tuple(sorted(query_vars))
-        if not self.groups:
-            raise InvariantError("no grouped factors mention the query variables")
+    def finish(self, query_vars: Sequence[VariableId]) -> Table:
+        """Multiply the remaining groups pairwise (the tabular engine's final
+        product, group by group) and tile the resulting complete confactor
+        set densely over its signature."""
         merged = self._merge(self.groups)
-        for r in merged.members:
-            if not r.variables() <= set(query):
-                raise InvariantError("grouped factor mentions uneliminated variables")
-        if merged.signature != set(query):
-            missing = sorted(set(query) - merged.signature)
-            raise InvariantError(f"no grouped factor mentions: {missing}")
-        table = tile_confactors(merged.members, query, catalog)
-        return normalize_posterior(table, query, catalog)
+        return tile_confactors(merged.members, merged.signature, self.net.catalog)
 
 
 def tve_query(

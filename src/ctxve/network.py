@@ -19,21 +19,19 @@ declaration order fixes the total ordering.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .confactor import Confactor, tile
+from .confactor import Confactor, partition_faults, tile
 from .errors import NetworkFormatError
 from .tables import (
     Context,
     DomainCatalog,
     Table,
     VariableId,
-    compatible,
     product as table_product,
     reorder,
     set_table,
@@ -116,7 +114,6 @@ def validate(net: ContextualBeliefNetwork) -> list[str]:
         if not fam:
             violations.append(f"{name}: empty family")
             continue
-        mentioned: set[int] = set()
         for i, r in enumerate(fam):
             if x not in r.table.vars:
                 violations.append(f"{name}: confactor {i} has no {name} in its table")
@@ -145,29 +142,9 @@ def validate(net: ContextualBeliefNetwork) -> list[str]:
                 sums = r.table.array.sum(axis=r.table.vars.index(x))
                 if not np.allclose(sums, 1.0, atol=NORMALIZATION_TOL, rtol=0.0):
                     violations.append(f"{name}: confactor {i} not normalized over {name}")
-            mentioned.update(r.body.vars())
-        for i, j in itertools.combinations(range(len(fam)), 2):
-            if compatible(fam[i].body, fam[j].body):
-                violations.append(
-                    f"{name}: confactor bodies {i} and {j} are compatible (overlapping cover)"
-                )
-        # Exhaustiveness by exact counting over the mentioned variables: each
-        # body covers one cell per assignment of the mentioned-but-unassigned
-        # variables, and the disjoint covers must fill the whole space.
-        space = 1
-        for v in mentioned:
-            space *= cat.size(v)
-        covered = 0
-        for r in fam:
-            cells = 1
-            for v in mentioned:
-                if v not in r.body:
-                    cells *= cat.size(v)
-            covered += cells
-        if covered != space:
-            violations.append(
-                f"{name}: bodies cover {covered} of {space} parent-context cells"
-            )
+        violations.extend(
+            f"{name}: {fault}" for fault in partition_faults(cat, [r.body for r in fam])
+        )
     return violations
 
 
@@ -182,7 +159,7 @@ def from_tabular_cpt(
     sums = table.array.sum(axis=table.vars.index(x))
     if not np.allclose(sums, 1.0, atol=NORMALIZATION_TOL, rtol=0.0):
         raise ValueError(f"table not normalized over {catalog.names[x]}")
-    return [Confactor(Context(), table, frozenset({x}), frozenset({x}))]
+    return [Confactor(Context(), table)]
 
 
 def from_skeleton(
@@ -192,17 +169,9 @@ def from_skeleton(
     x = skeleton.child
     if len(distributions) != len(skeleton.pairs):
         raise ValueError("one distribution required per skeletal pair")
-    for ci, cj in itertools.combinations([c for c, _ in skeleton.pairs], 2):
-        if compatible(ci, cj):
-            raise ValueError("skeleton contexts must be mutually exclusive")
-    mentioned = {v for c, _ in skeleton.pairs for v in c.vars()}
-    space = math.prod(catalog.size(v) for v in mentioned)
-    covered = sum(
-        math.prod(catalog.size(v) for v in mentioned if v not in c)
-        for c, _ in skeleton.pairs
-    )
-    if covered != space:
-        raise ValueError("skeleton contexts are not exhaustive")
+    faults = partition_faults(catalog, [c for c, _ in skeleton.pairs])
+    if faults:
+        raise ValueError("skeleton contexts: " + "; ".join(faults))
     fam = []
     for (ctx, vs), table in zip(skeleton.pairs, distributions):
         if set(table.vars) != set(vs) | {x}:
@@ -210,7 +179,7 @@ def from_skeleton(
         sums = table.array.sum(axis=table.vars.index(x))
         if not np.allclose(sums, 1.0, atol=NORMALIZATION_TOL, rtol=0.0):
             raise ValueError(f"distribution not normalized over {catalog.names[x]}")
-        fam.append(Confactor(ctx, table, frozenset({x}), frozenset({x})))
+        fam.append(Confactor(ctx, table))
     return fam
 
 
@@ -269,9 +238,7 @@ def from_document(doc: dict, force: bool = False) -> ContextualBeliefNetwork:
                 table = catalog.table(vars, c_entry["table"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise NetworkFormatError(f"{where}: {exc}") from None
-            families[child].append(
-                Confactor(body, table, frozenset({child}), frozenset({child}))
-            )
+            families[child].append(Confactor(body, table))
     missing = [catalog.names[x] for x in range(len(catalog)) if x not in seen_children]
     if missing:
         raise NetworkFormatError(f"variables without families: {missing}")

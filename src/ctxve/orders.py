@@ -3,9 +3,13 @@
 :class:`Engine` holds the only ``query()``: it validates the query, picks or
 checks the elimination order, then runs the subclass's per-variable step:
 ``begin(obs)`` substitutes the evidence, ``eliminate(y)`` removes one
-variable, ``finish(query_vars)`` multiplies what is left and normalizes.
+variable, ``finish(query_vars)`` multiplies what is left into one
+unnormalized table.  ``query()`` then checks that this table ranges over
+exactly the query variables (else :class:`~ctxve.errors.InvariantError`)
+and normalizes it: that answer step is the same for every engine.
 A query must be non-empty, name existing variables, repeat none and observe
-none; any other query raises ``ValueError`` before any work is done.
+none, and the evidence must assign existing variables values inside their
+domains; any other query raises ``ValueError`` before any work is done.
 
 The default order is greedy min-size: repeatedly eliminate the variable
 whose elimination builds the smallest factor, measured as the product of the
@@ -20,8 +24,9 @@ import math
 from typing import Optional, Sequence
 
 from .counters import CostCounters
+from .errors import InvariantError
 from .network import ContextualBeliefNetwork
-from .posterior import Posterior
+from .posterior import Posterior, normalize_posterior
 from .tables import Context, VariableId
 
 
@@ -53,14 +58,20 @@ class Engine:
         self.begin(obs)
         for y in self.order:
             self.eliminate(y)
-        return self.finish(query)
+        table = self.finish(query)
+        if set(table.vars) != set(query):
+            raise InvariantError(
+                f"answer is over {sorted(table.vars)}, not the query {sorted(query)}"
+            )
+        return normalize_posterior(table, query, self.net.catalog)
 
 
 def check_query(
     net: ContextualBeliefNetwork, query_vars: Sequence[VariableId], obs: Context
 ) -> list[VariableId]:
     """Validate a query and return it as a list: it must be non-empty, and
-    its variables must exist, be distinct and be unobserved."""
+    its variables must exist, be distinct and be unobserved.  Every evidence
+    variable must exist and be given a value index inside its domain."""
     query = list(query_vars)
     if not query:
         raise ValueError("empty query")
@@ -71,6 +82,14 @@ def check_query(
     if len(set(query)) != len(query):
         repeated = sorted({names[v] for v in query if query.count(v) > 1})
         raise ValueError(f"query repeats variables: {repeated}")
+    unknown = [v for v in obs.vars() if not 0 <= v < net.n_vars()]
+    if unknown:
+        raise ValueError(f"unknown evidence variable ids: {unknown}")
+    outside = [
+        f"{names[v]}={val}" for v, val in obs.items() if not 0 <= val < net.catalog.size(v)
+    ]
+    if outside:
+        raise ValueError(f"evidence values out of range: {outside}")
     observed = [names[v] for v in sorted(set(query) & set(obs.vars()))]
     if observed:
         raise ValueError(f"query variables are observed: {observed}")

@@ -1,14 +1,18 @@
 """Posterior distributions and shared answer-extraction machinery.
 
-Confactors become dense tables here through :func:`~ctxve.confactor.tile`:
-one confactor over a ones background (:func:`expand_confactor`), or a
-mutually exclusive set over zeros (:func:`tile_confactors`).
+Each engine's ``finish`` builds one unnormalized table over the query;
+:meth:`~ctxve.orders.Engine.query` checks its variables and hands it to
+:func:`normalize_posterior`, which ``enum_query`` also uses.  Confactors
+become dense tables here through :func:`~ctxve.confactor.tile`: one
+confactor over a ones background (:func:`expand_confactor`, multiplied out
+by :func:`extract_posterior`), or a mutually exclusive set over zeros
+(:func:`tile_confactors`).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -79,43 +83,28 @@ def expand_confactor(r: Confactor, catalog: DomainCatalog) -> Table:
 
 
 def tile_confactors(
-    items: Sequence[Confactor],
-    query_vars: Sequence[VariableId],
-    catalog: DomainCatalog,
+    items: Sequence[Confactor], vars: Iterable[VariableId], catalog: DomainCatalog
 ) -> Table:
     """Write a mutually exclusive, covering confactor set into one dense
-    table over the query variables (no arithmetic, pure placement)."""
-    query = tuple(sorted(query_vars))
-    return Table(query, tile(items, query, catalog, 0.0))
+    table over ``vars``, in ascending id (no arithmetic, pure placement)."""
+    scope = tuple(sorted(vars))
+    return Table(scope, tile(items, scope, catalog, 0.0))
 
 
 def extract_posterior(
-    items: Sequence[Confactor],
-    query_vars: Sequence[VariableId],
-    catalog: DomainCatalog,
-    counters=None,
-) -> Posterior:
-    """Multiply the remaining confactors and renormalize over the query.
+    items: Sequence[Confactor], catalog: DomainCatalog, counters=None
+) -> Table:
+    """Multiply the remaining confactors into one unnormalized table over
+    the variables they mention.
 
-    Every remaining confactor must only mention query variables.  Scalar
-    confactors are proportionality constants and are dropped, unless one is
-    zero: then the evidence has probability zero.
+    Scalar confactors are proportionality constants and are dropped, unless
+    one is zero: then the evidence has probability zero.
     """
-    query = tuple(sorted(query_vars))
-    qset = set(query)
     expansions = []
     for r in items:
-        vars = r.variables()
-        if not vars <= qset:
-            extra = sorted(vars - qset)
-            raise ValueError(f"confactor mentions uneliminated variables: {extra}")
-        if vars:
+        if r.variables():
             expansions.append(expand_confactor(r, catalog))
         elif float(r.table.array) == 0.0:
             raise ZeroEvidenceError("evidence has probability zero")
-    covered = {v for t in expansions for v in t.vars}
-    if covered != qset:
-        missing = sorted(qset - covered)
-        raise ValueError(f"no remaining confactor mentions query variables: {missing}")
     acc, _ = multiply_all(expansions, counters)
-    return normalize_posterior(acc, query, catalog)
+    return acc

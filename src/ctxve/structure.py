@@ -182,16 +182,9 @@ def compress_family(
             axis = leaf.vars.index(x)
             sums = leaf.array.sum(axis=axis, keepdims=True)
             residual = max(residual, float(np.abs(sums - 1.0).max(initial=0.0)))
-            family.append(
-                Confactor(
-                    body,
-                    Table(leaf.vars, leaf.array / sums),
-                    frozenset({x}),
-                    frozenset({x}),
-                )
-            )
+            family.append(Confactor(body, Table(leaf.vars, leaf.array / sums)))
         return family, residual
-    return [Confactor(Context(), table, frozenset({x}), frozenset({x}))], 0.0
+    return [Confactor(Context(), table)], 0.0
 
 
 def compress_network(

@@ -6,6 +6,11 @@ listed variable varying fastest, which is exactly C order over the
 per-variable axes, so tables are held as numpy arrays shaped by their
 domain sizes.
 
+A context is a partial assignment held as a mapping from variable id to
+value index: lookups are dict lookups, two contexts are compatible when no
+shared variable differs (probed from the smaller side), and the union of two
+contexts is one constructor call, which raises on a clash.
+
 The four primitives (``set_table``, ``product``, ``sum_out``, ``add_tables``)
 accept an optional :class:`~ctxve.counters.CostCounters`; cost accounting is
 owned by the calling engine, never by this module.
@@ -112,83 +117,71 @@ class Context:
     """Partial assignment of value indices to variables.
 
     Immutable and hashable; the empty context is valid and compatible with
-    everything.  Items are kept sorted by variable id.
+    everything.  Held as one dict filled in ascending variable id, so lookups
+    are dict lookups and ``items()``/``vars()`` come out sorted whatever the
+    input order.  Assigning one variable two values raises
+    :class:`IncompatibleContextsError`.
     """
 
-    __slots__ = ("_items",)
+    __slots__ = ("_map",)
 
     def __init__(self, items: Iterable[tuple[VariableId, int]] = ()):
-        pairs = sorted(items)
-        seen: dict[int, int] = {}
-        for var, val in pairs:
-            if var in seen and seen[var] != val:
+        assigned: dict[int, int] = {}
+        for var, val in sorted(items):
+            if assigned.setdefault(var, val) != val:
                 raise IncompatibleContextsError("incompatible contexts")
-            seen[var] = val
-        self._items: tuple[tuple[int, int], ...] = tuple(sorted(seen.items()))
+        self._map = assigned
 
     def items(self) -> tuple[tuple[int, int], ...]:
-        return self._items
+        return tuple(self._map.items())
 
     def vars(self) -> tuple[VariableId, ...]:
-        return tuple(v for v, _ in self._items)
+        return tuple(self._map)
 
     def get(self, var: VariableId) -> Optional[int]:
-        for v, val in self._items:
-            if v == var:
-                return val
-            if v > var:
-                return None
-        return None
+        return self._map.get(var)
 
     def __contains__(self, var: VariableId) -> bool:
-        return self.get(var) is not None
+        return var in self._map
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._map)
 
     def __bool__(self) -> bool:
-        return bool(self._items)
+        return bool(self._map)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Context) and self._items == other._items
+        return isinstance(other, Context) and self._map == other._map
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return hash(self.items())
 
     def __repr__(self) -> str:
-        inner = ",".join(f"{v}={val}" for v, val in self._items)
+        inner = ",".join(f"{v}={val}" for v, val in self._map.items())
         return f"Context({inner})"
 
     def with_assignment(self, var: VariableId, value: int) -> "Context":
-        return Context(self._items + ((var, value),))
+        return Context((*self._map.items(), (var, value)))
 
     def without(self, var: VariableId) -> "Context":
-        return Context(tuple(p for p in self._items if p[0] != var))
+        return Context(p for p in self._map.items() if p[0] != var)
 
 
 def compatible(c1: Context, c2: Context) -> bool:
     """False iff some variable is assigned different values in the two contexts."""
-    a, b = c1.items(), c2.items()
-    i = j = 0
-    while i < len(a) and j < len(b):
-        va, vb = a[i][0], b[j][0]
-        if va == vb:
-            if a[i][1] != b[j][1]:
-                return False
-            i += 1
-            j += 1
-        elif va < vb:
-            i += 1
-        else:
-            j += 1
+    small, large = c1._map, c2._map
+    if len(small) > len(large):
+        small, large = large, small
+    for var, val in small.items():
+        other = large.get(var)
+        if other is not None and other != val:
+            return False
     return True
 
 
 def context_union(c1: Context, c2: Context) -> Context:
     """The context assigning every variable assigned in either input."""
-    if not compatible(c1, c2):
-        raise IncompatibleContextsError("incompatible contexts")
-    return Context(c1.items() + c2.items())
+    return Context((*c1._map.items(), *c2._map.items()))
 
 
 class Table:
@@ -328,12 +321,10 @@ def multiply_all(
     tables: Sequence[Table], counters=None
 ) -> tuple[Table, list[int]]:
     """Product of ``tables``, smallest first: a stable sort by ascending size,
-    then a left fold.  Returns the product and the sizes of the pairwise
-    products it created, in order (empty for a single table)."""
-    if not tables:
-        raise ValueError("nothing to multiply")
+    then a left fold.  Returns the product (the scalar 1 for no tables) and
+    the sizes of the pairwise products it created, in order."""
     ordered = sorted(tables, key=lambda t: t.size)
-    acc = ordered[0]
+    acc = ordered[0] if ordered else Table.scalar(1.0)
     created: list[int] = []
     for t in ordered[1:]:
         acc = product(acc, t, counters)

@@ -67,13 +67,17 @@ class TestEnumQuery:
 
 
 def test_every_path_rejects_the_same_bad_queries():
-    # a repeated, an unknown, an observed and an empty query
+    # a repeated, an unknown, an observed and an empty query; evidence on an
+    # unknown variable, and evidence values above and below the domain
     net = generate_random_cbn(GenConfig(n=5, s=2, seed=1))
     cases = [
         ([0, 0], Context(), "repeats"),
         ([99], Context(), "unknown"),
         ([0], Context([(0, 0)]), "observed"),
         ([], Context(), "empty"),
+        ([0], Context([(99, 0)]), "unknown evidence"),
+        ([0], Context([(1, 5)]), "out of range"),
+        ([0], Context([(1, -1)]), "out of range"),
     ]
     for query, obs, word in cases:
         messages = set()
@@ -187,7 +191,6 @@ class TestCampaign:
                 obs_counts=(1,),
                 seed=seed,
                 replicates=1,
-                check_agreement=False,
             )
             if any(r.error for r in records):
                 assert any("error" in line for line in csv.split("\n"))

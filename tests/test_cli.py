@@ -116,6 +116,15 @@ class TestInfer:
             assert out == ""
             assert "--audit" in err
 
+    def test_order_and_stats_need_an_elimination_engine(self, capsys, tree_path):
+        for flags in (["--order", "d,c,b,a,y,z"], ["--stats"]):
+            code, out, err = run(
+                capsys, "infer", tree_path, "--query", "e", "--engine", "enum", *flags
+            )
+            assert code == 1, flags
+            assert out == ""
+            assert "--order and --stats" in err
+
     def test_unknown_variable_is_usage_error(self, capsys, tree_path):
         code, _, err = run(capsys, "infer", tree_path, "--query", "nope")
         assert code == 1

@@ -1,9 +1,11 @@
 """The package's export list: ``__all__`` and the names ``__init__`` imports
 must agree, and every listed name must resolve.  The engine table is the
 single list of engines: each one supplies the per-variable step, and the
-CLI offers exactly those engines plus the ``enum`` oracle."""
+CLI offers exactly those engines plus the ``enum`` oracle.  The benchmark's
+tracer patches library functions by name, so every name it lists must exist."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import ctxve
@@ -36,6 +38,15 @@ def test_every_engine_defines_the_per_variable_step():
         for method in ("begin", "eliminate", "finish"):
             assert method in vars(cls), (name, method)
         assert "query" not in vars(cls), name
+
+
+def test_every_traced_name_resolves():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [name for name, owner, attr in tracer.TRACED if not hasattr(owner, attr)]
+    assert tracer.TRACED and missing == []
 
 
 def test_cli_engine_choices_are_the_engine_table_plus_enum():

@@ -68,6 +68,51 @@ class TestContext:
             context_union(ctx(cat, "a=true"), ctx(cat, "a=false"))
 
 
+# A context against a plain-dict model: small variable ids and values, so
+# that clashes and shared variables are common.
+_VAR = st.integers(0, 5)
+_VAL = st.integers(0, 2)
+_ASSIGNMENT = st.dictionaries(_VAR, _VAL, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(_VAR, _VAL), max_size=6), var=_VAR, val=_VAL, data=st.data())
+def test_context_matches_a_dict_model(pairs, var, val, data):
+    if len(set(pairs)) != len({v for v, _ in pairs}):
+        with pytest.raises(IncompatibleContextsError, match="incompatible contexts"):
+            Context(pairs)
+        return
+    model = dict(pairs)
+    c = Context(pairs)
+    assert c.vars() == tuple(sorted(model))
+    assert c.items() == tuple(sorted(model.items()))
+    assert (len(c), bool(c)) == (len(model), bool(model))
+    for v in range(7):
+        assert c.get(v) == model.get(v)
+        assert (v in c) == (v in model)
+    shuffled = Context(data.draw(st.permutations(pairs), label="shuffled"))
+    assert shuffled == c and hash(shuffled) == hash(c)
+    assert c.without(var).items() == tuple(sorted((v, x) for v, x in model.items() if v != var))
+    if model.get(var, val) != val:
+        with pytest.raises(IncompatibleContextsError, match="incompatible contexts"):
+            c.with_assignment(var, val)
+    else:
+        assert c.with_assignment(var, val).items() == tuple(sorted({**model, var: val}.items()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(m1=_ASSIGNMENT, m2=_ASSIGNMENT)
+def test_compatible_and_union_match_a_dict_model(m1, m2):
+    c1, c2 = Context(m1.items()), Context(m2.items())
+    agree = all(m2.get(v, x) == x for v, x in m1.items())
+    assert compatible(c1, c2) == compatible(c2, c1) == agree
+    if agree:
+        assert context_union(c1, c2).items() == tuple(sorted({**m1, **m2}.items()))
+    else:
+        with pytest.raises(IncompatibleContextsError, match="incompatible contexts"):
+            context_union(c1, c2)
+
+
 class TestSetTable:
     def test_partial_evaluation_of_dense_conditional(self, cat):
         f = dense_e_table(cat)
