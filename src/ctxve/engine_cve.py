@@ -6,9 +6,11 @@ family), the other confactors involving Y, and the rest.  Each confactor
 involving Y is absorbed into the complete set: members incompatible with it
 pass through, compatible members are split so that exactly one piece matches
 and that piece collects the incoming table.  Absorbed tables are multiplied
-lazily, smallest first, with the final product fused into the sum over Y, so
-the multiplication order inside one context mirrors the tabular engine's
-ascending-size policy rather than the incidental absorption order.
+lazily, smallest first, by the tabular engine's kernel
+(:func:`~ctxve.tables.multiply_all_sum_out`), whose last product is
+contracted with the sum over Y and never built, so the multiplication order
+inside one context mirrors the tabular engine's ascending-size policy rather
+than the incidental absorption order.
 
 Members still pure for Y (never multiplied since leaving Y's family) sum to
 all-ones tables, so pure table occurrences are dropped instead of summed.

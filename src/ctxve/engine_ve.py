@@ -1,11 +1,11 @@
 """Tabular variable elimination.
 
 Factors are dense tables; eliminating a variable multiplies the factors that
-involve it and sums the variable out.  The last pairwise product is fused
-with the sum, so the table recorded as created for an elimination is the
-summed result, not the transient full product (multiplication counts are
-unaffected by the fusion: a pairwise product always costs one multiplication
-per entry of its result).
+involve it and sums the variable out.  The last pairwise product is
+contracted with the sum (:func:`~ctxve.tables.contract`), so that product is
+never built, and the table recorded as created for an elimination is the
+summed result (multiplication counts are unaffected: a pairwise product
+always costs one multiplication per entry of its result, built or not).
 """
 
 from __future__ import annotations

@@ -10,6 +10,9 @@ and normalizes it: that answer step is the same for every engine.
 A query must be non-empty, name existing variables, repeat none and observe
 none, and the evidence must assign existing variables values inside their
 domains; any other query raises ``ValueError`` before any work is done.
+A network with an empty family (possible only when force-loaded) supports
+no evidence at all, so every query on it raises
+:class:`~ctxve.errors.ZeroEvidenceError`, also before any work is done.
 
 The default order is greedy min-size: repeatedly eliminate the variable
 whose elimination builds the smallest factor, measured as the product of the
@@ -24,7 +27,7 @@ import math
 from typing import Optional, Sequence
 
 from .counters import CostCounters
-from .errors import InvariantError
+from .errors import InvariantError, ZeroEvidenceError
 from .network import ContextualBeliefNetwork
 from .posterior import Posterior, normalize_posterior
 from .tables import Context, VariableId
@@ -71,7 +74,8 @@ def check_query(
 ) -> list[VariableId]:
     """Validate a query and return it as a list: it must be non-empty, and
     its variables must exist, be distinct and be unobserved.  Every evidence
-    variable must exist and be given a value index inside its domain."""
+    variable must exist and be given a value index inside its domain.  A
+    network with an empty family raises :class:`ZeroEvidenceError`."""
     query = list(query_vars)
     if not query:
         raise ValueError("empty query")
@@ -93,6 +97,11 @@ def check_query(
     observed = [names[v] for v in sorted(set(query) & set(obs.vars()))]
     if observed:
         raise ValueError(f"query variables are observed: {observed}")
+    empty = [names[x] for x, fam in enumerate(net.families) if not fam]
+    if empty:
+        # Only a force-loaded network can hold an empty family: nothing
+        # supports any value of its variable, so every evidence is impossible.
+        raise ZeroEvidenceError(f"evidence has probability zero: no confactors for {empty}")
     return query
 
 

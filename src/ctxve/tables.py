@@ -14,17 +14,31 @@ contexts is one constructor call, which raises on a clash.
 The four primitives (``set_table``, ``product``, ``sum_out``, ``add_tables``)
 accept an optional :class:`~ctxve.counters.CostCounters`; cost accounting is
 owned by the calling engine, never by this module.
+
+``multiply_all_sum_out`` is the bucket kernel of ``ve`` and ``cve``: it
+multiplies a bucket's tables smallest first and hands the last pair to
+``contract``, which sums ``y`` out of their product with batched
+``np.matmul`` and never builds that product.  Large contractions run in
+blocks of at most :data:`BLOCK` entries written into one preallocated
+result.  The counters are computed from shapes, so they equal those of the
+unfused product and sum.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+import itertools
+import math
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import IncompatibleContextsError
 
 VariableId = int
+
+# Most entries one block of contract() holds: its two operand blocks and its
+# result block together.
+BLOCK = 1 << 20
 
 
 class DomainCatalog:
@@ -107,10 +121,6 @@ class DomainCatalog:
                 raise ValueError(f"variable {name!r} is given twice")
             pairs[name] = label
         return self.context(pairs)
-
-    def assignments(self, vars: Sequence[VariableId]) -> Iterator[tuple[int, ...]]:
-        """All joint value-index tuples for ``vars`` in layout order."""
-        return np.ndindex(*self.shape(vars))  # type: ignore[return-value]
 
 
 class Context:
@@ -332,15 +342,90 @@ def multiply_all(
     return acc, created
 
 
+def contract(a: Table, b: Table, y: VariableId, counters=None) -> Table:
+    """Sum over ``y`` of the product of ``a`` and ``b``, never building the
+    product.
+
+    The variables split into three groups: batch (in both tables, not ``y``),
+    only in ``a`` and only in ``b``.  ``a`` is viewed as (batch, only-a, y)
+    and ``b`` as (batch, y, only-b), and one batched ``np.matmul`` sums over
+    ``y``.  When that is too big to do at once, the leading non-``y``
+    variables of the larger table are fixed one block at a time, so that a
+    block's two operands and its result hold at most :data:`BLOCK` entries
+    together (unless the variables left free already hold more).  Each block
+    is assigned into a transposed view of one preallocated result over
+    ``_union_vars(a, b)`` minus ``y``.  When only one operand has ``y``, it
+    is summed there first.
+
+    The counters are those of the unfused product and sum: one
+    multiplication per entry of the product, ``dom - 1`` additions per
+    entry of the result.
+    """
+    union = _union_vars(a, b)
+    if y not in union:
+        raise ValueError("variable not in table")
+    dims = dict(zip(a.vars, a.array.shape))
+    dims.update(zip(b.vars, b.array.shape))
+    out_vars = tuple(v for v in union if v != y)
+    out = np.empty([dims[v] for v in out_vars])
+    if counters is not None:
+        counters.multiplications += math.prod(dims.values())
+        counters.additions += (dims[y] - 1) * out.size
+    a_vars, a_arr = a.vars, a.array
+    b_vars, b_arr = b.vars, b.array
+    if y not in b_vars:
+        a_arr = a_arr.sum(axis=a_vars.index(y), keepdims=True)
+        b_vars, b_arr = b_vars + (y,), b_arr[..., None]
+    elif y not in a_vars:
+        b_arr = b_arr.sum(axis=b_vars.index(y), keepdims=True)
+        a_vars, a_arr = a_vars + (y,), a_arr[..., None]
+    larger, other = (a_vars, b_vars) if a.size >= b.size else (b_vars, a_vars)
+    batch = [v for v in larger if v != y and v in other]
+    only_a = [v for v in a_vars if v != y and v not in b_vars]
+    only_b = [v for v in b_vars if v != y and v not in a_vars]
+    a_t = a_arr.transpose([a_vars.index(v) for v in (*batch, *only_a, y)])
+    b_t = b_arr.transpose([b_vars.index(v) for v in (*batch, y, *only_b)])
+    out_t = out.transpose([out_vars.index(v) for v in (*batch, *only_a, *only_b)])
+    # Fix the fewest leading variables that bring a block's two operands
+    # and its result under BLOCK entries together.
+    lead = batch + [v for v in larger if v != y and v not in other]
+    k = 0
+    a_blk, b_blk, out_blk = a_arr.size, b_arr.size, out.size
+    while k < len(lead) and a_blk + b_blk + out_blk > BLOCK:
+        v = lead[k]
+        a_blk //= dims[v] if v in a_vars else 1
+        b_blk //= dims[v] if v in b_vars else 1
+        out_blk //= dims[v]
+        k += 1
+    fixed = lead[:k]
+    n_batch = math.prod(dims[v] for v in batch[k:])
+    n_a = math.prod(dims[v] for v in only_a if v not in fixed)
+    n_b = math.prod(dims[v] for v in only_b if v not in fixed)
+    n_y = a_t.shape[-1]
+    out_axes = (*batch, *only_a, *only_b)
+    block_shape = tuple(dims[v] for v in out_axes if v not in fixed)
+    for idx in itertools.product(*(range(dims[v]) for v in fixed)):
+        ia = ib = io = ()
+        if idx:
+            at = dict(zip(fixed, idx))
+            ia = tuple(at.get(v, slice(None)) for v in (*batch, *only_a))
+            ib = tuple(at.get(v, slice(None)) for v in (*batch, y, *only_b))
+            io = tuple(at.get(v, slice(None)) for v in out_axes)
+        out_t[io] = np.matmul(
+            a_t[ia].reshape(n_batch, n_a, n_y), b_t[ib].reshape(n_batch, n_y, n_b)
+        ).reshape(block_shape)
+    return Table(out_vars, out)
+
+
 def multiply_all_sum_out(
     tables: Sequence[Table], y: VariableId, counters=None
 ) -> tuple[Table, list[int]]:
     """Product of ``tables`` in :func:`multiply_all`'s order, with the final
-    product fused into the sum over ``y``.
+    product contracted over ``y`` by :func:`contract`.
 
     Intermediate pairwise products are materialized; the last product is
-    only accounted for (its multiplications equal the virtual product size)
-    and never recorded as a created table.  Returns the summed result and
+    never built, only accounted for (its multiplications equal its size),
+    and is not recorded as a created table.  Returns the summed result and
     the sizes of the tables actually materialized (intermediates + result).
     """
     if not tables:
@@ -350,14 +435,6 @@ def multiply_all_sum_out(
         result = sum_out(last, y, counters)
         return result, [result.size]
     acc, created = multiply_all(head, counters)
-    out_vars = _union_vars(acc, last)
-    virtual = _broadcast_to(acc, out_vars) * _broadcast_to(last, out_vars)
-    if counters is not None:
-        counters.multiplications += int(virtual.size)
-    axis = out_vars.index(y)
-    dom = virtual.shape[axis]
-    result = Table(tuple(v for v in out_vars if v != y), virtual.sum(axis=axis))
-    if counters is not None:
-        counters.additions += (dom - 1) * result.size
+    result = contract(acc, last, y, counters)
     created.append(result.size)
     return result, created

@@ -99,6 +99,19 @@ class TestEvidence:
             with pytest.raises(ZeroEvidenceError, match="probability zero"):
                 answer(net, [1], Context([(0, 1)]))
 
+    def test_empty_family(self):
+        # a force-loaded network whose y has no confactors at all: nothing
+        # supports any value of y, whichever variable is asked about
+        cat = DomainCatalog([("x", ("true", "false")), ("y", ("true", "false"))])
+        net = ContextualBeliefNetwork(
+            cat, [[Confactor(Context(), cat.table((0,), [0.3, 0.7]))], []]
+        )
+        assert net.validate() != []
+        for name, answer in answer_paths().items():
+            for query in ([0], [1]):
+                with pytest.raises(ZeroEvidenceError, match="probability zero"):
+                    answer(net, query, Context())
+
 
 def eliminated(net, var_name):
     """An audited engine after eliminating one variable with no evidence."""

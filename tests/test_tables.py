@@ -1,10 +1,12 @@
 """Core table algebra against brute-force oracles and hand-checked values."""
 
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ctxve import (
     Context,
@@ -18,7 +20,9 @@ from ctxve import (
     set_table,
     sum_out,
 )
+from ctxve import tables
 from ctxve.counters import CostCounters
+from ctxve.tables import multiply_all, multiply_all_sum_out
 
 from conftest import F, T, ctx, dense_e_rows, table, tree_catalog
 
@@ -314,3 +318,66 @@ def test_sum_out_distributes_over_product(data):
         assert lhs.lookup(assignment) == pytest.approx(
             rhs.lookup(assignment), abs=1e-9
         )
+
+
+# The fused kernel against the unfused product and sum.  A bucket is the
+# domain sizes of its variables and the variable lists of its tables; the
+# eliminated variable is 0 and occurs in at least one table.
+
+
+@st.composite
+def _buckets(draw):
+    doms = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    scope = st.lists(st.integers(0, len(doms) - 1), unique=True, max_size=len(doms))
+    scopes = draw(st.lists(scope.map(tuple), min_size=1, max_size=3))
+    if not any(0 in s for s in scopes):
+        scopes[0] = (*scopes[0], 0)
+    return doms, scopes
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bucket=_buckets(),
+    block=st.sampled_from([1, 6, tables.BLOCK]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(bucket=([2, 3, 2], [(1, 0, 2), (2, 1, 0)]), block=1, seed=0)  # all shared
+@example(bucket=([3, 2, 2], [(0, 1), (2, 0)]), block=1, seed=0)  # only y shared
+@example(bucket=([2, 3, 2], [(0, 1), (2,)]), block=1, seed=0)  # disjoint, y one-sided
+@example(bucket=([2, 3], [(1,), (1, 0)]), block=tables.BLOCK, seed=0)  # y in the larger only
+@example(bucket=([3], [(0,), (0,)]), block=1, seed=0)  # scalar result
+@example(bucket=([2, 1, 3], [(0, 1), (1, 2), (2, 0)]), block=6, seed=0)  # three tables
+def test_fused_product_sum_matches_product_then_sum(bucket, block, seed):
+    doms, scopes = bucket
+    rng = np.random.default_rng(seed)
+    bucket_tables = [Table(s, rng.random([doms[v] for v in s])) for s in scopes]
+    fused, unfused = CostCounters(), CostCounters()
+    with mock.patch.object(tables, "BLOCK", block):
+        got, created = multiply_all_sum_out(bucket_tables, 0, fused)
+    prod, prod_created = multiply_all(bucket_tables, unfused)
+    want = sum_out(prod, 0, unfused)
+    assert got.vars == want.vars
+    np.testing.assert_allclose(got.array, want.array, rtol=0, atol=1e-12)
+    assert fused.multiplications == unfused.multiplications
+    assert fused.additions == unfused.additions
+    # the full product is never created: the result takes its place
+    assert created == prod_created[:-1] + [want.size]
+
+
+def test_fused_product_sum_never_holds_the_full_product():
+    # Binary variables; y = 21.  The product is over 22 variables (2^22
+    # entries, 32 MiB) and the result over 21 (16 MiB).  Building the
+    # product first peaks near 3x the result's bytes.
+    y = 21
+    rng = np.random.default_rng(0)
+    a = Table((y, *range(0, 11)), rng.random((2,) * 12))
+    b = Table((*range(5, 21), y), rng.random((2,) * 17))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result, _ = multiply_all_sum_out([a, b], y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.size == 1 << 21
+    assert peak < 1.5 * result.array.nbytes
