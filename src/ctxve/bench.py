@@ -129,6 +129,8 @@ def run_campaign(
     unknown = [name for name in engines if name not in ENGINES]
     if unknown:
         raise ValueError(f"unknown engines: {unknown}")
+    if replicates < 1:
+        raise ValueError(f"replicates must be at least 1, got {replicates}")
     rng = SplitMix64(seed)
     records: list[BenchRecord] = []
     for net_id, net in nets:

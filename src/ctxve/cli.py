@@ -117,7 +117,7 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    cfg = GenConfig(n=args.n, s=args.s, p=args.p, seed=args.seed, biased=args.biased)
+    cfg = GenConfig(n=args.n, s=args.s, p=args.p, seed=args.seed)
     net = generate_biased_cbn(cfg) if args.biased else generate_random_cbn(cfg)
     save(net, args.output)
     print(f"wrote {args.output}")

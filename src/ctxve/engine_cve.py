@@ -6,17 +6,21 @@ family), the other confactors involving Y, and the rest.  Each confactor
 involving Y is absorbed into the complete set: members incompatible with it
 pass through, compatible members are split so that exactly one piece matches
 and that piece collects the incoming table.  Absorbed tables are multiplied
-lazily, smallest first, by the tabular engine's kernel
+lazily: each member keeps a list of tables (a :class:`Member`).
+
+Summing Y out of the members is :func:`sum_out_members`, the one sum-out
+step of both contextual engines (the tree engine calls it too).  Table
+occurrences are multiplied smallest first by the tabular engine's kernel
 (:func:`~ctxve.tables.multiply_all_sum_out`), whose last product is
 contracted with the sum over Y and never built, so the multiplication order
 inside one context mirrors the tabular engine's ascending-size policy rather
-than the incidental absorption order.
-
-Members still pure for Y (never multiplied since leaving Y's family) sum to
-all-ones tables, so pure table occurrences are dropped instead of summed.
-Pieces with Y in the body are added across Y's values with the group-sum
-operator; a fold output is dropped only when every piece that fed it was
-pure, because a pure piece can face an impure sibling at another value.
+than the incidental absorption order.  Body occurrences are added across Y's
+values with the group-sum operator.  Members still pure for Y (never
+multiplied since leaving Y's family) sum to all-ones tables, so they are
+dropped instead of summed; a group-sum output is dropped only when every
+piece that fed it was pure, because a pure piece can face an impure sibling
+at another value.  This pruning is the one part of the step the tree engine
+never takes: it passes its members with empty purity.
 
 Splitting goes through :func:`~ctxve.confactor.split_on_context` and the
 audit's dense expansions through :func:`~ctxve.confactor.tile`.
@@ -112,44 +116,10 @@ def sum_out_body_occurrences(
     return acc
 
 
-def sum_out_confactor_set(
-    catalog: DomainCatalog,
-    items: Sequence[Confactor],
-    y: VariableId,
-    counters=None,
-) -> list[Confactor]:
-    """Eliminate ``y`` from an aligned confactor set: sum it out of tables,
-    group-sum the body occurrences, and strip ``y`` from the bookkeeping.
-    Nothing is pruned: all-ones results are kept."""
-    out = []
-    dom = catalog.size(y)
-    groups: list[list[Confactor]] = [[] for _ in range(dom)]
-    for r in items:
-        if y in r.table.vars:
-            out.append(
-                Confactor(
-                    r.body,
-                    sum_out(r.table, y, counters),
-                    r.for_vars - {y},
-                    r.pure_for - {y},
-                )
-            )
-        elif y in r.body:
-            groups[r.body.get(y)].append(
-                Confactor(r.body.without(y), r.table, r.for_vars, r.pure_for)
-            )
-        else:
-            raise InvariantError("confactor does not involve the eliminated variable")
-    for r in sum_out_body_occurrences(catalog, groups, counters):
-        out.append(
-            Confactor(r.body, r.table, r.for_vars - {y}, r.pure_for - {y})
-        )
-    return out
-
-
-class _Member:
-    """A confactor of the absorbing set during one elimination, with its
-    table kept as a lazy product (list of factors, reduced on the body)."""
+class Member:
+    """A confactor whose table is kept as a lazy product: a list of factors,
+    each reduced on the body.  Contextual VE's absorbing set is made of
+    these; the tree engine passes each confactor as a one-table member."""
 
     __slots__ = ("body", "tables", "for_vars", "pure_for")
 
@@ -158,6 +128,51 @@ class _Member:
         self.tables = tables
         self.for_vars = for_vars
         self.pure_for = pure_for
+
+
+def sum_out_members(
+    catalog: DomainCatalog,
+    members: Sequence[Member],
+    y: VariableId,
+    counters: CostCounters,
+) -> list[Confactor]:
+    """Eliminate ``y`` from a set of members that all involve it.
+
+    A member with ``y`` in a table has its lazy product multiplied and
+    contracted over ``y`` (:func:`~ctxve.tables.multiply_all_sum_out`),
+    unless it is still pure for ``y``: then its tables are an untouched
+    family fragment whose sum over ``y`` is all ones, and it is dropped.
+    Members with ``y`` in the body are multiplied out and group-summed
+    across ``y``'s values (:func:`sum_out_body_occurrences`); a fold output
+    is dropped only when every piece that fed it was pure, because a pure
+    piece can face an impure sibling at another value.  ``y`` is stripped
+    from the outputs' bookkeeping.  Members given ``pure_for=EMPTY`` are
+    never dropped.
+    """
+    out: list[Confactor] = []
+    groups: list[list[Confactor]] = [[] for _ in range(catalog.size(y))]
+    for m in members:
+        if y in m.body:
+            acc, sizes = multiply_all(m.tables, counters)
+            counters.note_tables(sizes)
+            groups[m.body.get(y)].append(
+                Confactor(m.body.without(y), acc, m.for_vars, m.pure_for)
+            )
+            continue
+        for t in m.tables:
+            if y in t.vars:
+                break
+        else:
+            raise InvariantError("member does not involve the eliminated variable")
+        if y in m.pure_for:
+            continue
+        result, sizes = multiply_all_sum_out(m.tables, y, counters)
+        counters.note_tables(sizes)
+        out.append(Confactor(m.body, result, m.for_vars - {y}, m.pure_for - {y}))
+    for r in sum_out_body_occurrences(catalog, groups, counters):
+        if y not in r.pure_for:
+            out.append(Confactor(r.body, r.table, r.for_vars - {y}, r.pure_for - {y}))
+    return out
 
 
 class ContextualVE(Engine):
@@ -233,12 +248,12 @@ class ContextualVE(Engine):
                 "no tracked confactors left to absorb into; invariant breach"
             )
         members = [
-            _Member(r.body, [r.table], r.for_vars, r.pure_for) for r in r_plus
+            Member(r.body, [r.table], r.for_vars, r.pure_for) for r in r_plus
         ]
         # Shortest bodies first; the sort is stable, so ties keep the base's
         # insertion order.
         for r in sorted(r_star, key=lambda r: len(r.body)):
-            nxt: list[_Member] = []
+            nxt: list[Member] = []
             landed = False
             for m in members:
                 if not compatible(m.body, r.body):
@@ -249,9 +264,9 @@ class ContextualVE(Engine):
                     catalog, m.body, m.tables, r.body, counters
                 )
                 for piece_body, piece_tables in residuals:
-                    nxt.append(_Member(piece_body, piece_tables, m.for_vars, m.pure_for))
+                    nxt.append(Member(piece_body, piece_tables, m.for_vars, m.pure_for))
                 nxt.append(
-                    _Member(
+                    Member(
                         body,
                         tables + [set_table(r.table, body)],
                         m.for_vars | r.for_vars,
@@ -263,43 +278,7 @@ class ContextualVE(Engine):
                     "absorbed confactor found no compatible member; incomplete cover"
                 )
             members = nxt
-        created: list[Confactor] = []
-        dom = catalog.size(y)
-        groups: list[list[Confactor]] = [[] for _ in range(dom)]
-        for m in members:
-            if y in m.body:
-                # A pure piece may face an impure sibling at another value
-                # of y, so body occurrences are pruned after the group sum,
-                # when the whole fold is known to be pure.
-                acc, sizes = multiply_all(m.tables, counters)
-                counters.note_tables(sizes)
-                groups[m.body.get(y)].append(
-                    Confactor(m.body.without(y), acc, m.for_vars, m.pure_for)
-                )
-            elif any(y in t.vars for t in m.tables):
-                # Still pure for y: the tables are an untouched family
-                # fragment whose sum over y is all ones.
-                if y in m.pure_for:
-                    continue
-                result, sizes = multiply_all_sum_out(m.tables, y, counters)
-                counters.note_tables(sizes)
-                created.append(
-                    Confactor(
-                        m.body, result, m.for_vars - {y}, m.pure_for - {y}
-                    )
-                )
-            else:
-                raise InvariantError(
-                    "absorbing member does not involve the eliminated variable"
-                )
-        for r in sum_out_body_occurrences(catalog, groups, counters):
-            if y in r.pure_for:
-                continue
-            counters.note_tables([r.size])
-            created.append(
-                Confactor(r.body, r.table, r.for_vars - {y}, r.pure_for - {y})
-            )
-        return created
+        return sum_out_members(catalog, members, y, counters)
 
     # -- debug auditing -------------------------------------------------------
 

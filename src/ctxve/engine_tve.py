@@ -9,10 +9,13 @@ here every pending multiplication is performed eagerly, as in the tabular
 engine.
 
 Two groups multiply through :func:`~ctxve.confactor.pairwise` with
-``product``; eliminating a variable sums it out of the merged group with
-:func:`~ctxve.engine_cve.sum_out_confactor_set`.  ``finish`` merges what is
-left and tiles it densely over its signature; the query lifecycle checks
-that the signature is the query and normalizes.
+``product``.  Eliminating a variable sums it out of the merged group with
+contextual VE's own sum-out step, :func:`~ctxve.engine_cve.sum_out_members`,
+each confactor passed as a one-table member.  The members are given empty
+purity, so nothing is pruned: all-ones results are kept, as the tabular
+engine keeps them.  ``finish`` merges what is left and tiles it densely over
+its signature; the query lifecycle checks that the signature is the query
+and normalizes.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .confactor import Confactor, pairwise
+from .confactor import EMPTY, Confactor, pairwise
 from .counters import CostCounters
-from .engine_cve import incorporate_evidence, sum_out_confactor_set
+from .engine_cve import Member, incorporate_evidence, sum_out_members
 from .errors import InvariantError
 from .network import ContextualBeliefNetwork
 from .orders import Engine
@@ -106,14 +109,17 @@ class TreeVE(Engine):
             return
         rest = [g for g in self.groups if not g.involves(y)]
         merged = self._merge(involved)
-        members = sum_out_confactor_set(self.net.catalog, merged.members, y, self.counters)
-        created = [r.size for r in members]
-        self.counters.note_tables(created)
+        members = sum_out_members(
+            self.net.catalog,
+            [Member(r.body, [r.table], r.for_vars, EMPTY) for r in merged.members],
+            y,
+            self.counters,
+        )
         result = GroupedFactor(members)
         if result.members:
             rest.append(result)
         self.groups = rest
-        self.counters.record_elimination(y, created, result.total_size())
+        self.counters.record_elimination(y, [r.size for r in members], result.total_size())
 
     def finish(self, query_vars: Sequence[VariableId]) -> Table:
         """Multiply the remaining groups pairwise (the tabular engine's final

@@ -152,14 +152,9 @@ def from_tabular_cpt(
     catalog: DomainCatalog, x: VariableId, parents: Sequence[VariableId], table: Table
 ) -> list[Confactor]:
     """Family for a plain conditional probability table: one confactor with
-    an empty body."""
-    expected = set(parents) | {x}
-    if set(table.vars) != expected:
-        raise ValueError("table must range over the parents plus the child")
-    sums = table.array.sum(axis=table.vars.index(x))
-    if not np.allclose(sums, 1.0, atol=NORMALIZATION_TOL, rtol=0.0):
-        raise ValueError(f"table not normalized over {catalog.names[x]}")
-    return [Confactor(Context(), table)]
+    an empty body, built by :func:`from_skeleton` from one empty-context
+    pair."""
+    return from_skeleton(catalog, ParentSkeleton(x, [(Context(), parents)]), [table])
 
 
 def from_skeleton(

@@ -152,8 +152,12 @@ def check_order(
     query_vars: Sequence[VariableId],
     obs: Context,
 ) -> list[VariableId]:
-    """Validate a user-supplied elimination order and return it as a list."""
+    """Validate a user-supplied elimination order and return it as a list: it
+    must name existing variables, each unobserved non-query one exactly once."""
     order = list(order)
+    unknown = [v for v in order if not 0 <= v < net.n_vars()]
+    if unknown:
+        raise ValueError(f"unknown order variable ids: {unknown}")
     if len(set(order)) != len(order):
         raise ValueError("elimination order contains duplicates")
     qset, oset = set(query_vars), set(obs.vars())

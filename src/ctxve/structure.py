@@ -49,7 +49,6 @@ class GenConfig:
     s: int = 0
     p: float = 0.0
     seed: int = 0
-    biased: bool = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -236,7 +235,7 @@ def _leaf_confactor(
     return Confactor(body, Table(tuple(vars), arr))
 
 
-def _generate(cfg: GenConfig) -> ContextualBeliefNetwork:
+def _generate(cfg: GenConfig, biased: bool) -> ContextualBeliefNetwork:
     rng = SplitMix64(cfg.seed)
     n = cfg.n
     catalog = _binary_catalog(n)
@@ -254,7 +253,7 @@ def _generate(cfg: GenConfig) -> ContextualBeliefNetwork:
         if n <= 1 or j >= child or j in body:
             continue
         split_var = j
-        if cfg.biased:
+        if biased:
             used = {
                 v
                 for k, (other, _) in enumerate(leaves)
@@ -279,9 +278,7 @@ def generate_random_cbn(cfg: GenConfig) -> ContextualBeliefNetwork:
     per variable, split random leaves on random earlier variables until
     there are n+s leaves, then fill each leaf's table with normalized
     uniform values, letting each free predecessor join with probability p."""
-    if cfg.biased:
-        raise ValueError("use generate_biased_cbn for the biased variant")
-    return _generate(cfg)
+    return _generate(cfg, biased=False)
 
 
 def generate_biased_cbn(cfg: GenConfig) -> ContextualBeliefNetwork:
@@ -289,6 +286,4 @@ def generate_biased_cbn(cfg: GenConfig) -> ContextualBeliefNetwork:
     a variable already used in some other leaf's context is preferred
     (chosen uniformly among the usable ones); otherwise the unbiased choice
     stands."""
-    return _generate(
-        GenConfig(n=cfg.n, s=cfg.s, p=cfg.p, seed=cfg.seed, biased=True)
-    )
+    return _generate(cfg, biased=True)

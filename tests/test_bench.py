@@ -1,5 +1,7 @@
 """Enumeration oracle and the benchmark campaign plumbing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,11 @@ from ctxve import (
     Context,
     ContextualBeliefNetwork,
     DomainCatalog,
+    ENGINES,
     GenConfig,
     enum_query,
+    generate_biased_cbn,
+    min_size_order,
     generate_random_cbn,
     run_campaign,
     cve_query,
@@ -89,6 +94,26 @@ def test_every_path_rejects_the_same_bad_queries():
         assert len(messages) == 1, messages
 
 
+def test_every_engine_rejects_the_same_bad_orders():
+    # unknown ids (above and below the range), a repeat, an eliminated query
+    # variable and an order that leaves a variable out
+    net = generate_random_cbn(GenConfig(n=5, s=2, seed=1))
+    good = min_size_order(net, [0])
+    cases = [
+        (good + [99, -3], "unknown order variable ids: \\[99, -3\\]"),
+        (good + [good[0]], "duplicates"),
+        (good + [0], "query variable"),
+        (good[1:], "does not cover"),
+    ]
+    for order, pattern in cases:
+        for name, cls in ENGINES.items():
+            engine = cls(net)
+            with pytest.raises(ValueError, match=pattern) as info:
+                engine.query([0], None, order)
+            assert type(info.value) is ValueError, name
+            assert engine.counters.eliminations == [], name
+
+
 def test_all_engines_agree_on_regression_networks():
     from conftest import hvac_network, wide_network
     from ctxve import tve_query, ve_query
@@ -100,6 +125,17 @@ def test_all_engines_agree_on_regression_networks():
             for engine in (ve_query, cve_query, tve_query):
                 post, _ = engine(net, [query])
                 assert oracle.max_abs_diff(post) < 1e-9, (cat.names[query], engine)
+
+
+def strip_time(doc):
+    """The CSV lines of a campaign with the time_ms column blanked."""
+    rows = []
+    for line in doc.strip().split("\n"):
+        cells = line.split(",")
+        if len(cells) > 4:
+            cells[4] = ""
+        rows.append(",".join(cells))
+    return rows
 
 
 class TestCampaign:
@@ -123,17 +159,26 @@ class TestCampaign:
         kwargs = dict(queries_per_net=2, obs_counts=(0, 2), seed=9, replicates=1)
         _, csv1 = run_campaign(self.nets(), **kwargs)
         _, csv2 = run_campaign(self.nets(), **kwargs)
-
-        def strip_time(doc):
-            rows = []
-            for line in doc.strip().split("\n"):
-                cells = line.split(",")
-                if len(cells) > 4:
-                    cells[4] = ""
-                rows.append(",".join(cells))
-            return rows
-
         assert strip_time(csv1) == strip_time(csv2)
+
+    def test_paper_counters_are_pinned(self):
+        # Every counter column of a small biased campaign, pinned by hash:
+        # any change to what an engine multiplies, adds, splits or
+        # materializes changes it.  The tree engine keeps the all-ones
+        # results of pure members; pruning them there changes the hash.
+        nets = [
+            (f"b{k}", generate_biased_cbn(GenConfig(n=16, s=12, p=0.2, seed=k)))
+            for k in range(8)
+        ]
+        _, csv = run_campaign(nets, obs_counts=(0, 3, 6), seed=7, replicates=1)
+        digest = hashlib.sha256("\n".join(strip_time(csv)).encode()).hexdigest()
+        assert digest.startswith("a98fce8705e243f9"), digest
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="unknown engines"):
+            run_campaign(self.nets(), engines=("ve", "nope"))
+        with pytest.raises(ValueError, match="replicates must be at least 1"):
+            run_campaign(self.nets(), replicates=0)
 
     def test_tabular_network_equalizes_ve_and_cve_columns(self):
         # fully connected, so every family is multiplied before its variable

@@ -24,7 +24,9 @@ from ctxve import (
     value_at,
     ve_query,
 )
-from ctxve.engine_cve import ContextualVE, sum_out_confactor_set
+from ctxve.confactor import EMPTY
+from ctxve.counters import CostCounters
+from ctxve.engine_cve import ContextualVE, Member, sum_out_members
 
 from conftest import (
     F,
@@ -188,7 +190,8 @@ class TestSumOutOps:
                 [0.4235, 0.0935, 0.3465, 0.0765, 0.069, 0.249, 0.161, 0.581],
             ),
         )
-        out = sum_out_confactor_set(cat, [prod], b)
+        member = Member(prod.body, [prod.table], prod.for_vars, EMPTY)
+        out = sum_out_members(cat, [member], b, CostCounters())
         assert len(out) == 1
         got = out[0]
         assert cval(cat, got, "a=true,y=true,e=true,z=true") == pytest.approx(0.4925)
@@ -203,8 +206,13 @@ class TestSumOutOps:
             frozenset({d}),
             frozenset({d}),
         )
-        # the set sum keeps the all-ones result ...
-        kept = sum_out_confactor_set(cat, [pure], d)
+        # the sum-out step deletes a member still pure for d, and keeps the
+        # all-ones result of the same member given empty purity (as the tree
+        # engine passes its members) ...
+        as_member = Member(pure.body, [pure.table], pure.for_vars, pure.pure_for)
+        assert sum_out_members(cat, [as_member], d, CostCounters()) == []
+        as_member.pure_for = EMPTY
+        kept = sum_out_members(cat, [as_member], d, CostCounters())
         assert len(kept) == 1
         assert float(kept[0].table.array) == pytest.approx(1.0)
         # ... while the engine deletes the pieces of d's family that no
