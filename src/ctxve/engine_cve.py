@@ -91,9 +91,7 @@ def incorporate_evidence(
 
 
 def sum_out_body_occurrences(
-    catalog: DomainCatalog,
-    groups: Sequence[Sequence[Confactor]],
-    counters=None,
+    groups: Sequence[Sequence[Confactor]], counters=None
 ) -> list[Confactor]:
     """Group-sum across the per-value confactor groups of a variable.
 
@@ -169,7 +167,7 @@ def sum_out_members(
         result, sizes = multiply_all_sum_out(m.tables, y, counters)
         counters.note_tables(sizes)
         out.append(Confactor(m.body, result, m.for_vars - {y}, m.pure_for - {y}))
-    for r in sum_out_body_occurrences(catalog, groups, counters):
+    for r in sum_out_body_occurrences(groups, counters):
         if y not in r.pure_for:
             out.append(Confactor(r.body, r.table, r.for_vars - {y}, r.pure_for - {y}))
     return out

@@ -242,7 +242,7 @@ class TestSumOutOps:
                 Confactor(ctx(cat, "a=false,c=false,z=false"), product(t8nd, t4)),
             ],
         ]
-        out = sum_out_body_occurrences(cat, groups)
+        out = sum_out_body_occurrences(groups)
         assert len(out) == 2
         first = find_confactor(out, cat, "a=false,c=false,z=true")
         assert cval(cat, first, "a=false,b=true,c=false,e=true,z=true") == pytest.approx(0.36225)
@@ -256,19 +256,17 @@ class TestSumOutOps:
         ) == pytest.approx(0.21975)
 
     def test_scalar_groups_add(self):
-        cat = DomainCatalog([("y", ("a", "b", "c")), ("q", ("0", "1"))])
         groups = [
             [Confactor(Context(), Table.scalar(p))] for p in (0.2, 0.3, 0.5)
         ]
-        out = sum_out_body_occurrences(cat, groups)
+        out = sum_out_body_occurrences(groups)
         assert len(out) == 1
         assert float(out[0].table.array) == pytest.approx(1.0)
 
     def test_empty_sibling_group_is_an_error(self):
-        cat = DomainCatalog([("y", ("0", "1")), ("q", ("0", "1"))])
         groups = [[Confactor(Context(), Table.scalar(0.4))], []]
         with pytest.raises(InvariantError, match="empty sibling"):
-            sum_out_body_occurrences(cat, groups)
+            sum_out_body_occurrences(groups)
 
 
 class TestEliminateReferenceNetworks:
