@@ -50,9 +50,6 @@ class GroupedFactor:
     def signature_space(self, catalog: DomainCatalog) -> int:
         return math.prod(catalog.size(v) for v in self.signature) if self.signature else 1
 
-    def involves(self, var: VariableId) -> bool:
-        return var in self.signature
-
 
 def tve_multiply(
     catalog: DomainCatalog,
@@ -103,11 +100,13 @@ class TreeVE(Engine):
         return merged
 
     def eliminate(self, y: VariableId) -> None:
-        involved = [g for g in self.groups if g.involves(y)]
+        involved: list[GroupedFactor] = []
+        rest: list[GroupedFactor] = []
+        for g in self.groups:
+            (involved if y in g.signature else rest).append(g)
         if not involved:
             self.counters.record_elimination(y, (), 0)
             return
-        rest = [g for g in self.groups if not g.involves(y)]
         merged = self._merge(involved)
         members = sum_out_members(
             self.net.catalog,

@@ -88,11 +88,13 @@ class TabularVE(Engine):
                 raise ZeroEvidenceError("evidence has probability zero")
 
     def eliminate(self, y: VariableId) -> None:
-        involved = [f for f in self.factors if f.involves(y)]
+        involved: list[Table] = []
+        rest: list[Table] = []
+        for f in self.factors:
+            (involved if y in f.vars else rest).append(f)
         if not involved:
             self.counters.record_elimination(y, (), 0)
             return
-        rest = [f for f in self.factors if not f.involves(y)]
         result, created = multiply_all_sum_out(involved, y, self.counters)
         # A scalar result is a constant of proportionality, as in ``begin``.
         if result.vars:

@@ -16,13 +16,17 @@ no evidence at all, so every query on it raises
 
 The default order is greedy min-size: repeatedly eliminate the variable
 whose elimination builds the smallest factor, measured as the product of the
-domain sizes of the union of the variables of all factors involving it.
-Scopes are simulated on the tabular factor structure so that every engine
-given the same (network, query, evidence) gets the same order.
+domain sizes of the union of the variables of all factors involving it, the
+lowest variable id winning ties.  It is planned on the elimination graph of
+the evidence-reduced tabular factor scopes, so every engine given the same
+(network, query, evidence) gets the same order.  The planner updates only
+the neighbours of each eliminated variable, so a long chain is ordered in
+time linear in its length.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Optional, Sequence
 
@@ -110,39 +114,50 @@ def min_size_order(
     query_vars: Sequence[VariableId],
     obs: Optional[Context] = None,
 ) -> list[VariableId]:
+    """Greedy min-size elimination order for a query.
+
+    Repeatedly eliminates the unobserved non-query variable whose elimination
+    builds the smallest dense factor: the product of the domain sizes of its
+    closed neighbourhood in the elimination graph, whose edges join the
+    variables of each evidence-reduced family scope.  Ties go to the lowest
+    variable id.  The planner works incrementally: eliminating a variable
+    joins its neighbours into a clique and recomputes the cost of those
+    neighbours only, and a lazy heap keyed on ``(cost, id)`` skips entries
+    whose cost has since changed.  A step costs time in its neighbourhood
+    and fill, not in the number of variables.
+    """
     obs = obs or Context()
-    cat = net.catalog
-    scopes = []
+    size = net.catalog.size
+    observed = set(obs.vars())
+    adj: list[set[VariableId]] = [set() for _ in range(net.n_vars())]
     for x in range(net.n_vars()):
-        scope = {v for r in net.families[x] for v in r.variables()} - set(obs.vars())
-        if scope:
-            scopes.append(scope)
-    remaining = [
-        v
-        for v in range(net.n_vars())
-        if v not in set(query_vars) and v not in obs
-    ]
+        scope = {v for r in net.families[x] for v in r.variables()} - observed
+        for v in scope:
+            adj[v] |= scope
+    for v, nbrs in enumerate(adj):
+        nbrs.discard(v)
+
+    def cost(y: VariableId) -> int:
+        return size(y) * math.prod(size(u) for u in adj[y])
+
+    excluded = observed | set(query_vars)
+    current = {v: cost(v) for v in range(net.n_vars()) if v not in excluded}
+    heap = [(c, v) for v, c in current.items()]
+    heapq.heapify(heap)
     order: list[VariableId] = []
-    while remaining:
-        best = None
-        best_cost = None
-        for y in remaining:
-            union: set[int] = {y}
-            for scope in scopes:
-                if y in scope:
-                    union |= scope
-            cost = math.prod(cat.size(v) for v in union)
-            if best_cost is None or cost < best_cost:
-                best, best_cost = y, cost
-        assert best is not None
-        order.append(best)
-        involved = [s for s in scopes if best in s]
-        scopes = [s for s in scopes if best not in s]
-        if involved:
-            merged = set().union(*involved) - {best}
-            if merged:
-                scopes.append(merged)
-        remaining.remove(best)
+    while heap:
+        c, y = heapq.heappop(heap)
+        if current.get(y) != c:
+            continue  # stale: y is eliminated or its cost has changed
+        del current[y]
+        order.append(y)
+        nbrs = adj[y]
+        for u in nbrs:
+            adj[u] |= nbrs
+            adj[u] -= {u, y}
+            if u in current:
+                current[u] = cost(u)
+                heapq.heappush(heap, (current[u], u))
     return order
 
 

@@ -230,9 +230,6 @@ class Table:
     def domain_size(self, var: VariableId) -> int:
         return self.array.shape[self.vars.index(var)]
 
-    def involves(self, var: VariableId) -> bool:
-        return var in self.vars
-
     def lookup(self, assignment: Mapping[VariableId, int]) -> float:
         """Entry at a full assignment of this table's variables."""
         idx = tuple(assignment[v] for v in self.vars)

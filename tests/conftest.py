@@ -16,6 +16,7 @@ from ctxve import (
     SplitMix64,
     Table,
     enum_query,
+    from_tabular_cpt,
 )
 
 BOOL = ("true", "false")
@@ -172,6 +173,39 @@ def wide_network(w_size: int = 1000, seed: int = 7) -> ContextualBeliefNetwork:
         ],
     ]
     return ContextualBeliefNetwork(cat, families)
+
+
+def binary_hmm(steps: int, c_prior=None) -> ContextualBeliefNetwork:
+    """A binary HMM of ``steps`` steps with variables h1, e1, h2, e2, ...
+
+    Built from public constructors, one dense CPT per family: a uniform
+    prior on h1, 0.99 on the diagonal of every transition and 0.9 on the
+    diagonal of every emission.  Given ``c_prior``, a last binary variable
+    c with that prior is declared, independent of the chain.
+    """
+    names = [n for t in range(1, steps + 1) for n in (f"h{t}", f"e{t}")]
+    if c_prior is not None:
+        names.append("c")
+    cat = DomainCatalog([(n, ("0", "1")) for n in names])
+    trans = np.array([[0.99, 0.01], [0.01, 0.99]])
+    sense = np.array([[0.9, 0.1], [0.1, 0.9]])
+    families = []
+    for t in range(steps):
+        h, e = 2 * t, 2 * t + 1
+        if t == 0:
+            families.append(from_tabular_cpt(cat, h, [], Table((h,), np.array([0.5, 0.5]))))
+        else:
+            families.append(from_tabular_cpt(cat, h, [h - 2], Table((h - 2, h), trans)))
+        families.append(from_tabular_cpt(cat, e, [h], Table((h, e), sense)))
+    if c_prior is not None:
+        c = 2 * steps
+        families.append(from_tabular_cpt(cat, c, [], Table((c,), np.array(c_prior))))
+    return ContextualBeliefNetwork(cat, families)
+
+
+def alternating_emissions(steps: int) -> Context:
+    """Evidence 0, 1, 0, 1, ... on the emissions e1, e2, ... of :func:`binary_hmm`."""
+    return Context([(2 * t + 1, t % 2) for t in range(steps)])
 
 
 def brute_posterior(net: ContextualBeliefNetwork, query, obs=None) -> np.ndarray:
