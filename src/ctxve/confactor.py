@@ -50,8 +50,8 @@ class Confactor:
         for_vars: frozenset[int] = EMPTY,
         pure_for: frozenset[int] = EMPTY,
     ):
-        overlap = set(body.vars()) & set(table.vars)
-        if overlap:
+        if not body.isdisjoint(table.vars):
+            overlap = set(body.vars()) & set(table.vars)
             raise ValueError(f"body and table share variables: {sorted(overlap)}")
         if not pure_for <= for_vars:
             raise ValueError("pure_for must be a subset of for_vars")

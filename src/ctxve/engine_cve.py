@@ -62,7 +62,9 @@ def incorporate_evidence(
     """Simplify a confactor multiset by an observation, in three steps: drop
     confactors whose bodies contradict it, erase the satisfied body terms,
     substitute the observation into every table.  Confactors left with no
-    variables at all are constants of proportionality and are dropped.
+    variables at all are constants of proportionality and are dropped.  A
+    confactor with no observed body or table variable is returned itself,
+    shared rather than copied: no code mutates a confactor once built.
 
     Raises :class:`ZeroEvidenceError` when a dropped constant is zero, or
     when every confactor for an unobserved variable is dropped (possible
@@ -75,14 +77,19 @@ def incorporate_evidence(
         if not compatible(r.body, obs):
             dropped |= r.for_vars
             continue
-        body = Context(p for p in r.body.items() if p[0] not in obs)
-        table = set_table(r.table, obs)
+        body, table = r.body, r.table
+        if not obs.isdisjoint(body.vars()):
+            body = Context(p for p in body.items() if p[0] not in obs)
+        if not obs.isdisjoint(table.vars):
+            table = set_table(table, obs)
         if not body and not table.vars:
             if float(table.array) == 0.0:
                 raise ZeroEvidenceError("evidence has probability zero")
             dropped |= r.for_vars
             continue
-        out.append(Confactor(body, table, r.for_vars, r.pure_for))
+        if body is not r.body or table is not r.table:
+            r = Confactor(body, table, r.for_vars, r.pure_for)
+        out.append(r)
     if dropped:
         kept = {v for r in out for v in r.for_vars}
         if any(v not in obs and v not in kept for v in dropped):
@@ -203,30 +210,27 @@ class ContextualVE(Engine):
         r_star: list[Confactor] = []
         for r in self.base:
             if y in r.for_vars:
+                if not r.involves(y):
+                    raise InvariantError(
+                        "confactor tracked for a variable it does not involve"
+                    )
                 r_plus.append(r)
             elif r.involves(y):
                 r_star.append(r)
             else:
                 r_minus.append(r)
-        for r in r_plus:
-            if not r.involves(y):
-                raise InvariantError(
-                    "confactor tracked for a variable it does not involve"
-                )
         created = self._absorb(y, r_plus, r_star)
-        # The base stays in insertion order: survivors first, then the
-        # confactors this elimination created.
-        new_base = r_minus + created
+        # Step size: the created confactors and the survivors sharing a for_var.
         changed: set[int] = set()
         for c in created:
             changed |= c.for_vars
-        touched: dict[int, Confactor] = {id(c): c for c in created}
-        for c in new_base:
-            if c.for_vars & changed:
-                touched[id(c)] = c
-        elim_size = sum(c.size for c in touched.values())
+        elim_size = sum(c.size for c in created) + sum(
+            c.size for c in r_minus if not changed.isdisjoint(c.for_vars)
+        )
         self.counters.record_elimination(y, [c.size for c in created], elim_size)
-        self.base = new_base
+        # The base stays in insertion order: survivors first, then the
+        # confactors this elimination created.
+        self.base = r_minus + created
         self._eliminated.append(y)
         if self.audit:
             self._check_invariants()

@@ -40,9 +40,10 @@ class GroupedFactor:
 
     def __init__(self, members: Sequence[Confactor]):
         self.members = list(members)
-        self.signature: frozenset[int] = frozenset(
-            v for r in self.members for v in r.variables()
-        )
+        signature: set[int] = set()
+        for r in self.members:
+            signature.update(r.body.vars(), r.table.vars)
+        self.signature: frozenset[int] = frozenset(signature)
 
     def total_size(self) -> int:
         return sum(r.size for r in self.members)

@@ -13,7 +13,10 @@ contexts is one constructor call, which raises on a clash.
 
 The four primitives (``set_table``, ``product``, ``sum_out``, ``add_tables``)
 accept an optional :class:`~ctxve.counters.CostCounters`; cost accounting is
-owned by the calling engine, never by this module.
+owned by the calling engine, never by this module.  ``product`` and
+``add_tables`` skip the broadcast alignment when the variable lists are equal
+or an operand is a scalar (most calls of the contextual engines); the same
+IEEE operation meets the same entries, so the values are bitwise identical.
 
 ``multiply_all_sum_out`` is the bucket kernel of ``ve`` and ``cve``: it
 multiplies a bucket's tables smallest first and hands the last pair to
@@ -154,6 +157,10 @@ class Context:
     def __contains__(self, var: VariableId) -> bool:
         return var in self._map
 
+    def isdisjoint(self, vars: Iterable[VariableId]) -> bool:
+        """True iff none of ``vars`` is assigned here."""
+        return self._map.keys().isdisjoint(vars)
+
     def __len__(self) -> int:
         return len(self._map)
 
@@ -191,6 +198,8 @@ def compatible(c1: Context, c2: Context) -> bool:
 
 def context_union(c1: Context, c2: Context) -> Context:
     """The context assigning every variable assigned in either input."""
+    if not c1 or not c2:
+        return c1 or c2
     return Context((*c1._map.items(), *c2._map.items()))
 
 
@@ -241,6 +250,8 @@ class Table:
 
 def _broadcast_to(table: Table, out_vars: Sequence[VariableId]) -> np.ndarray:
     """View of ``table`` positioned for broadcasting over ``out_vars`` axes."""
+    if table.vars == tuple(out_vars):
+        return table.array
     pos = [out_vars.index(v) for v in table.vars]
     order = np.argsort(pos) if pos else []
     arr = np.transpose(table.array, order) if len(pos) > 1 else table.array
@@ -276,15 +287,25 @@ def _union_vars(f1: Table, f2: Table) -> tuple[VariableId, ...]:
     return f1.vars + tuple(v for v in f2.vars if v not in f1.vars)
 
 
+def _aligned(f1: Table, f2: Table) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The union of the variable lists and both arrays positioned to broadcast
+    over it; equal lists and scalar operands need no transposes."""
+    if f1.vars == f2.vars or not f2.vars:
+        return f1.vars, f1.array, f2.array
+    if not f1.vars:
+        return f2.vars, f1.array, f2.array
+    out_vars = _union_vars(f1, f2)
+    return out_vars, _broadcast_to(f1, out_vars), _broadcast_to(f2, out_vars)
+
+
 def product(f1: Table, f2: Table, counters=None) -> Table:
     """Pointwise product over the union of the variable lists.
 
     Result variables are ``f1``'s followed by ``f2``'s novel ones.  The
     multiplication counter grows by the result's entry count.
     """
-    out_vars = _union_vars(f1, f2)
-    arr = _broadcast_to(f1, out_vars) * _broadcast_to(f2, out_vars)
-    result = Table(out_vars, arr)
+    out_vars, a, b = _aligned(f1, f2)
+    result = Table(out_vars, a * b)
     if counters is not None:
         counters.multiplications += result.size
     return result
@@ -292,9 +313,8 @@ def product(f1: Table, f2: Table, counters=None) -> Table:
 
 def add_tables(f1: Table, f2: Table, counters=None) -> Table:
     """Pointwise sum with the same variable-union semantics as ``product``."""
-    out_vars = _union_vars(f1, f2)
-    arr = _broadcast_to(f1, out_vars) + _broadcast_to(f2, out_vars)
-    result = Table(out_vars, arr)
+    out_vars, a, b = _aligned(f1, f2)
+    result = Table(out_vars, a + b)
     if counters is not None:
         counters.additions += result.size
     return result

@@ -174,6 +174,23 @@ class TestCampaign:
         digest = hashlib.sha256("\n".join(strip_time(csv)).encode()).hexdigest()
         assert digest.startswith("a98fce8705e243f9"), digest
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RuntimeError,
+        reason="tve keeps constant groups ve drops, and orders its merges by "
+        "signature size, not by ve's dense sizes",
+    )
+    def test_context_only_networks_pass_the_mults_check(self):
+        # Valid context-only networks on which the tree engine multiplies
+        # more than the tabular one: on c0/x6 it keeps a result group with
+        # an empty signature that finish multiplies in (64 vs 62 mults);
+        # on c5/x8 its merge order differs after evidence (196 vs 172).
+        nets = [
+            (f"c{k}", generate_biased_cbn(GenConfig(n=12, s=40, p=0.0, seed=k)))
+            for k in range(8)
+        ]
+        run_campaign(nets, obs_counts=(0, 3, 6), seed=7, replicates=1)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="unknown engines"):
             run_campaign(self.nets(), engines=("ve", "nope"))

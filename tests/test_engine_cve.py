@@ -20,6 +20,7 @@ from ctxve import (
     cve_query,
     generate_random_cbn,
     incorporate_evidence,
+    set_table,
     sum_out_body_occurrences,
     value_at,
     ve_query,
@@ -71,6 +72,34 @@ class TestEvidence:
     def test_empty_observation_is_identity(self, tree_net):
         base = incorporate_evidence(tree_net.all_confactors(), Context())
         assert len(base) == len(tree_net.all_confactors())
+
+    def test_untouched_confactors_are_shared(self, tree_net):
+        # a confactor with no observed variable comes back itself; the
+        # others equal a rebuild, field by field
+        cat = tree_net.catalog
+        obs = ctx(cat, "d=false,z=false")
+        confactors = tree_net.all_confactors()
+        expected = []
+        for r in confactors:
+            if compatible(r.body, obs):
+                body = Context(p for p in r.body.items() if p[0] not in obs)
+                reduced = set_table(r.table, obs)
+                if body or reduced.vars:
+                    expected.append((r, body, reduced))
+        base = incorporate_evidence(confactors, obs)
+        assert len(base) == len(expected)
+        shared = 0
+        for out, (r, body, reduced) in zip(base, expected):
+            if not any(v in obs for v in (*r.body.vars(), *r.table.vars)):
+                assert out is r
+                shared += 1
+                continue
+            assert out is not r
+            assert out.body == body
+            assert out.table.vars == reduced.vars
+            assert np.array_equal(out.table.array, reduced.array)
+            assert (out.for_vars, out.pure_for) == (r.for_vars, r.pure_for)
+        assert 0 < shared < len(base)
 
     def test_zero_probability_evidence(self):
         cat = DomainCatalog([("x", ("true", "false")), ("y", ("true", "false"))])

@@ -1,6 +1,7 @@
 """Core table algebra against brute-force oracles and hand-checked values."""
 
 import itertools
+import math
 import tracemalloc
 from unittest import mock
 
@@ -94,6 +95,7 @@ def test_context_matches_a_dict_model(pairs, var, val, data):
     for v in range(7):
         assert c.get(v) == model.get(v)
         assert (v in c) == (v in model)
+        assert c.isdisjoint((v, var)) == (v not in model and var not in model)
     shuffled = Context(data.draw(st.permutations(pairs), label="shuffled"))
     assert shuffled == c and hash(shuffled) == hash(c)
     assert c.without(var).items() == tuple(sorted((v, x) for v, x in model.items() if v != var))
@@ -280,6 +282,68 @@ def test_product_and_add_match_enumeration(data):
         assert added.lookup(assignment) == pytest.approx(a + b, abs=1e-9)
     # non-negativity is preserved
     assert (prod.array >= 0).all() and (added.array >= 0).all()
+
+
+# The fast paths of product and add_tables (equal variable lists, a scalar
+# operand) against the general path: the union of the variable lists and
+# both operands broadcast over it.
+
+
+def _general_path(op, f1, f2):
+    out_vars = tables._union_vars(f1, f2)
+    return out_vars, op(
+        tables._broadcast_to(f1, out_vars), tables._broadcast_to(f2, out_vars)
+    )
+
+
+@st.composite
+def _operand_pairs(draw):
+    doms = draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+    perm = draw(st.permutations(range(len(doms))))
+    scopes = draw(
+        st.sampled_from(["equal", "scalar-left", "scalar-right", "shared", "disjoint"])
+    )
+    cut = draw(st.integers(1, len(perm) - 1))
+    vars1 = tuple(perm[:cut])
+    if scopes == "equal":
+        vars2 = vars1
+    elif scopes == "scalar-left":
+        vars1, vars2 = (), vars1
+    elif scopes == "scalar-right":
+        vars2 = ()
+    elif scopes == "disjoint":
+        vars2 = tuple(perm[cut:])
+    else:
+        keep = draw(st.integers(1, len(vars1)))
+        extra = draw(st.integers(0, len(perm) - cut))
+        shared = vars1[:keep] + tuple(perm[cut : cut + extra])
+        vars2 = tuple(draw(st.permutations(shared)))
+    values = st.floats(0, 1e3, allow_nan=False)
+
+    def draw_table(vars):
+        shape = tuple(doms[v] for v in vars)
+        n = math.prod(shape)
+        flat = draw(st.lists(values, min_size=n, max_size=n))
+        return Table(vars, np.array(flat).reshape(shape))
+
+    return draw_table(vars1), draw_table(vars2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=_operand_pairs())
+def test_product_and_add_equal_the_general_path_bitwise(pair):
+    f1, f2 = pair
+    for fn, op, field in (
+        (product, np.multiply, "multiplications"),
+        (add_tables, np.add, "additions"),
+    ):
+        counters = CostCounters()
+        result = fn(f1, f2, counters)
+        out_vars, expected = _general_path(op, f1, f2)
+        assert result.vars == out_vars
+        assert result.array.dtype == np.float64
+        assert np.array_equal(result.array, expected)
+        assert getattr(counters, field) == expected.size == result.size
 
 
 @settings(max_examples=40, deadline=None)
