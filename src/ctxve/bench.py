@@ -131,6 +131,10 @@ def run_campaign(
         raise ValueError(f"unknown engines: {unknown}")
     if replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
+    if queries_per_net < 1:
+        raise ValueError(f"queries per network must be at least 1, got {queries_per_net}")
+    if any(k < 0 for k in obs_counts):
+        raise ValueError(f"observation counts must be non-negative, got {list(obs_counts)}")
     rng = SplitMix64(seed)
     records: list[BenchRecord] = []
     for net_id, net in nets:

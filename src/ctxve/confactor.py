@@ -70,14 +70,6 @@ class Confactor:
     def size(self) -> int:
         return self.table.size
 
-    def replace(self, body=None, table=None, for_vars=None, pure_for=None) -> "Confactor":
-        return Confactor(
-            self.body if body is None else body,
-            self.table if table is None else table,
-            self.for_vars if for_vars is None else for_vars,
-            self.pure_for if pure_for is None else pure_for,
-        )
-
     def __repr__(self) -> str:
         return f"Confactor(body={self.body!r}, table={self.table!r})"
 

@@ -37,7 +37,7 @@ from .counters import CostCounters
 from .errors import InvariantError, ZeroEvidenceError
 from .network import ContextualBeliefNetwork, joint_table
 from .orders import Engine
-from .posterior import Posterior, extract_posterior
+from .posterior import Posterior, cancels, extract_posterior
 from .tables import (
     Context,
     DomainCatalog,
@@ -62,7 +62,7 @@ def incorporate_evidence(
     """Simplify a confactor multiset by an observation, in three steps: drop
     confactors whose bodies contradict it, erase the satisfied body terms,
     substitute the observation into every table.  Confactors left with no
-    variables at all are constants of proportionality and are dropped.  A
+    variables at all are constants and are dropped (:func:`cancels`).  A
     confactor with no observed body or table variable is returned itself,
     shared rather than copied: no code mutates a confactor once built.
 
@@ -82,9 +82,7 @@ def incorporate_evidence(
             body = Context(p for p in body.items() if p[0] not in obs)
         if not obs.isdisjoint(table.vars):
             table = set_table(table, obs)
-        if not body and not table.vars:
-            if float(table.array) == 0.0:
-                raise ZeroEvidenceError("evidence has probability zero")
+        if not body and cancels(table):
             dropped |= r.for_vars
             continue
         if body is not r.body or table is not r.table:

@@ -13,7 +13,9 @@ Two groups multiply through :func:`~ctxve.confactor.pairwise` with
 contextual VE's own sum-out step, :func:`~ctxve.engine_cve.sum_out_members`,
 each confactor passed as a one-table member.  The members are given empty
 purity, so nothing is pruned: all-ones results are kept, as the tabular
-engine keeps them.  ``finish`` merges what is left and tiles it densely over
+engine keeps them.  A result with no variables is a constant and is dropped
+through :func:`~ctxve.posterior.cancels`, as the tabular engine drops its
+scalars.  ``finish`` merges what is left and tiles it densely over
 its signature; the query lifecycle checks that the signature is the query
 and normalizes.
 """
@@ -29,7 +31,7 @@ from .engine_cve import Member, incorporate_evidence, sum_out_members
 from .errors import InvariantError
 from .network import ContextualBeliefNetwork
 from .orders import Engine
-from .posterior import Posterior, tile_confactors
+from .posterior import Posterior, cancels, tile_confactors
 from .tables import Context, DomainCatalog, Table, VariableId, product
 
 
@@ -116,8 +118,11 @@ class TreeVE(Engine):
             self.counters,
         )
         result = GroupedFactor(members)
-        if result.members:
+        if result.signature:
             rest.append(result)
+        else:  # a constant: at most one member, its body empty
+            for r in result.members:
+                cancels(r.table)
         self.groups = rest
         self.counters.record_elimination(y, [r.size for r in members], result.total_size())
 

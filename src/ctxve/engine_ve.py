@@ -13,10 +13,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .counters import CostCounters
-from .errors import ZeroEvidenceError
 from .network import ContextualBeliefNetwork
 from .orders import Engine
-from .posterior import Posterior
+from .posterior import Posterior, cancels
 from .tables import (
     Context,
     Table,
@@ -29,41 +28,27 @@ from .tables import (
 
 
 def multiply_factors(
-    factors: Sequence[Table], policy: str | Sequence[int] = "left"
+    factors: Sequence[Table], policy: str = "left"
 ) -> tuple[Table, int]:
     """Product of a factor list under an explicit multiplication policy.
 
     Policies: ``"left"`` folds in list order, ``"right"`` folds from the end,
-    ``"recompute"`` recomputes every partial product instead of saving
+    and ``"recompute"`` recomputes every partial product instead of saving
     intermediates (costing ``(k-1)`` multiplications per entry of the final
-    product), and a sequence of indices multiplies in that order, left-fold.
-    The product itself does not depend on the policy; the multiplication
-    count does.
+    product).  The product itself does not depend on the policy; the
+    multiplication count does.
     """
     if not factors:
         raise ValueError("nothing to multiply")
-    if isinstance(policy, str):
-        if policy == "left":
-            ordered = list(factors)
-        elif policy == "right":
-            ordered = list(reversed(factors))
-        elif policy == "recompute":
-            acc = factors[0]
-            for t in factors[1:]:
-                acc = product(acc, t)
-            return acc, (len(factors) - 1) * acc.size
-        else:
-            raise ValueError(f"unknown policy: {policy!r}")
-    else:
-        perm = list(policy)
-        if sorted(perm) != list(range(len(factors))):
-            raise ValueError("permutation must cover the factor list")
-        ordered = [factors[i] for i in perm]
-    count = 0
-    acc = ordered[0]
+    if policy not in ("left", "right", "recompute"):
+        raise ValueError(f"unknown policy: {policy!r}")
+    ordered = list(reversed(factors)) if policy == "right" else factors
+    acc, count = ordered[0], 0
     for t in ordered[1:]:
         acc = product(acc, t)
         count += acc.size
+    if policy == "recompute":
+        count = (len(factors) - 1) * acc.size
     return acc, count
 
 
@@ -80,12 +65,8 @@ class TabularVE(Engine):
         self.factors = []
         for x in range(self.net.n_vars()):
             factor = set_table(self.net.tabular_factor(x), obs)
-            if factor.vars:
+            if not cancels(factor):
                 self.factors.append(factor)
-            elif float(factor.array) == 0.0:
-                # A fully observed factor is a constant of proportionality
-                # and cancels in the renormalization, unless it is zero.
-                raise ZeroEvidenceError("evidence has probability zero")
 
     def eliminate(self, y: VariableId) -> None:
         involved: list[Table] = []
@@ -96,11 +77,8 @@ class TabularVE(Engine):
             self.counters.record_elimination(y, (), 0)
             return
         result, created = multiply_all_sum_out(involved, y, self.counters)
-        # A scalar result is a constant of proportionality, as in ``begin``.
-        if result.vars:
+        if not cancels(result):
             rest.append(result)
-        elif float(result.array) == 0.0:
-            raise ZeroEvidenceError("evidence has probability zero")
         self.factors = rest
         self.counters.record_elimination(y, created, sum(created))
 

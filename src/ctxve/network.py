@@ -61,10 +61,7 @@ class ContextualBeliefNetwork:
         # Family members are stamped as (pure) confactors for their child so
         # engines can track provenance regardless of how they were built.
         self.families: tuple[tuple[Confactor, ...], ...] = tuple(
-            tuple(
-                r.replace(for_vars=frozenset({x}), pure_for=frozenset({x}))
-                for r in fam
-            )
+            tuple(Confactor(r.body, r.table, frozenset({x}), frozenset({x})) for r in fam)
             for x, fam in enumerate(families)
         )
         self._tabular_cache: dict[int, Table] = {}
@@ -102,50 +99,46 @@ class ContextualBeliefNetwork:
 
         Returns an empty list iff the network is well formed.
         """
-        return validate(self)
-
-
-def validate(net: ContextualBeliefNetwork) -> list[str]:
-    cat = net.catalog
-    violations: list[str] = []
-    for x in range(net.n_vars()):
-        name = cat.names[x]
-        fam = net.families[x]
-        if not fam:
-            violations.append(f"{name}: empty family")
-            continue
-        for i, r in enumerate(fam):
-            if x not in r.table.vars:
-                violations.append(f"{name}: confactor {i} has no {name} in its table")
-            for v in r.body.vars():
-                if v >= x:
-                    violations.append(
-                        f"{name}: confactor {i} body mentions non-predecessor {cat.names[v]}"
-                    )
-                val = r.body.get(v)
-                if val is not None and val >= cat.size(v):
-                    violations.append(
-                        f"{name}: confactor {i} assigns out-of-domain value to {cat.names[v]}"
-                    )
-            for v in r.table.vars:
-                if v != x and v >= x:
-                    violations.append(
-                        f"{name}: confactor {i} table mentions non-predecessor {cat.names[v]}"
-                    )
-                if r.table.domain_size(v) != cat.size(v):
-                    violations.append(
-                        f"{name}: confactor {i} table dimension mismatch for {cat.names[v]}"
-                    )
-            if not np.all(np.isfinite(r.table.array)) or np.any(r.table.array < 0):
-                violations.append(f"{name}: confactor {i} has negative or non-finite entries")
-            elif x in r.table.vars:
-                sums = r.table.array.sum(axis=r.table.vars.index(x))
-                if not np.allclose(sums, 1.0, atol=NORMALIZATION_TOL, rtol=0.0):
-                    violations.append(f"{name}: confactor {i} not normalized over {name}")
-        violations.extend(
-            f"{name}: {fault}" for fault in partition_faults(cat, [r.body for r in fam])
-        )
-    return violations
+        cat = self.catalog
+        violations: list[str] = []
+        for x in range(self.n_vars()):
+            name = cat.names[x]
+            fam = self.families[x]
+            if not fam:
+                violations.append(f"{name}: empty family")
+                continue
+            for i, r in enumerate(fam):
+                if x not in r.table.vars:
+                    violations.append(f"{name}: confactor {i} has no {name} in its table")
+                for v in r.body.vars():
+                    if v >= x:
+                        violations.append(
+                            f"{name}: confactor {i} body mentions non-predecessor {cat.names[v]}"
+                        )
+                    val = r.body.get(v)
+                    if val is not None and val >= cat.size(v):
+                        violations.append(
+                            f"{name}: confactor {i} assigns out-of-domain value to {cat.names[v]}"
+                        )
+                for v in r.table.vars:
+                    if v != x and v >= x:
+                        violations.append(
+                            f"{name}: confactor {i} table mentions non-predecessor {cat.names[v]}"
+                        )
+                    if r.table.domain_size(v) != cat.size(v):
+                        violations.append(
+                            f"{name}: confactor {i} table dimension mismatch for {cat.names[v]}"
+                        )
+                if not np.all(np.isfinite(r.table.array)) or np.any(r.table.array < 0):
+                    violations.append(f"{name}: confactor {i} has negative or non-finite entries")
+                elif x in r.table.vars:
+                    sums = r.table.array.sum(axis=r.table.vars.index(x))
+                    if not np.allclose(sums, 1.0, atol=NORMALIZATION_TOL, rtol=0.0):
+                        violations.append(f"{name}: confactor {i} not normalized over {name}")
+            violations.extend(
+                f"{name}: {fault}" for fault in partition_faults(cat, [r.body for r in fam])
+            )
+        return violations
 
 
 def from_tabular_cpt(
@@ -278,9 +271,5 @@ def joint_table(
         raise ValueError(f"state space {space} exceeds cap {cap}")
     acc = Table((), np.ones(()))
     for x in range(net.n_vars()):
-        factor = set_table(net.tabular_factor(x), obs)
-        if not factor.vars:
-            acc = Table(acc.vars, acc.array * float(factor.array))
-        else:
-            acc = table_product(acc, factor)
+        acc = table_product(acc, set_table(net.tabular_factor(x), obs))
     return reorder(acc, tuple(sorted(acc.vars)))

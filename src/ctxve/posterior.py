@@ -6,13 +6,14 @@ Each engine's ``finish`` builds one unnormalized table over the query;
 become dense tables here through :func:`~ctxve.confactor.tile`: one
 confactor over a ones background (:func:`expand_confactor`, multiplied out
 by :func:`extract_posterior`), or a mutually exclusive set over zeros
-(:func:`tile_confactors`).
+(:func:`tile_confactors`).  :func:`cancels` is the one rule for the
+constants of proportionality that every answer path drops.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,9 +42,6 @@ class Posterior:
     def probabilities(self) -> np.ndarray:
         return self.table.array
 
-    def prob(self, assignment: Mapping[VariableId, int]) -> float:
-        return self.table.lookup(assignment)
-
     def lines(self) -> list[str]:
         """``value<TAB>probability`` rows in domain order, 10 significant digits."""
         cat = self.catalog
@@ -58,6 +56,17 @@ class Posterior:
         if self.vars != other.vars:
             raise ValueError("posteriors over different variables")
         return float(np.max(np.abs(self.table.array - other.table.array)))
+
+
+def cancels(table: Table) -> bool:
+    """True iff ``table`` has no variables: a constant of proportionality,
+    which cancels in the renormalization, so the caller drops it.  Raises
+    :class:`ZeroEvidenceError` when that constant is zero."""
+    if table.vars:
+        return False
+    if float(table.array) == 0.0:
+        raise ZeroEvidenceError("evidence has probability zero")
+    return True
 
 
 def normalize_posterior(
@@ -97,14 +106,11 @@ def extract_posterior(
     """Multiply the remaining confactors into one unnormalized table over
     the variables they mention.
 
-    Scalar confactors are proportionality constants and are dropped, unless
-    one is zero: then the evidence has probability zero.
+    Confactors with no variables are constants and are dropped
+    (:func:`cancels`).
     """
-    expansions = []
-    for r in items:
-        if r.variables():
-            expansions.append(expand_confactor(r, catalog))
-        elif float(r.table.array) == 0.0:
-            raise ZeroEvidenceError("evidence has probability zero")
+    expansions = [
+        expand_confactor(r, catalog) for r in items if r.body or not cancels(r.table)
+    ]
     acc, _ = multiply_all(expansions, counters)
     return acc

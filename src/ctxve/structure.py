@@ -86,10 +86,11 @@ def _collapse_redundant(
     """Remove redundant parents, replacing each collapsed block by its
     midpoint.
 
-    Parents are admitted greedily; a candidate only joins when the joint
-    block over all parents removed so far still spans less than the
-    threshold, so every original entry stays within threshold/2 of the
-    midpoint that replaces it.
+    Parents are admitted greedily in one pass; a candidate only joins when
+    the joint block over all parents removed so far still spans less than
+    the threshold, so every original entry stays within threshold/2 of the
+    midpoint that replaces it.  A block's spread only grows as axes join
+    it, so a parent rejected once would be rejected again.
     """
     removed: list[int] = []
 
@@ -98,17 +99,9 @@ def _collapse_redundant(
         spread = table.array.max(axis=axes) - table.array.min(axis=axes)
         return float(np.max(spread, initial=0.0)) < cfg.threshold
 
-    while True:
-        added = False
-        for v in table.vars:
-            if v == child or v in removed:
-                continue
-            if block_ok(removed + [v]):
-                removed.append(v)
-                added = True
-                break
-        if not added:
-            break
+    for v in table.vars:
+        if v != child and block_ok(removed + [v]):
+            removed.append(v)
     if not removed:
         return table
     axes = tuple(sorted(table.vars.index(u) for u in removed))

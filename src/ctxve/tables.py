@@ -11,7 +11,7 @@ value index: lookups are dict lookups, two contexts are compatible when no
 shared variable differs (probed from the smaller side), and the union of two
 contexts is one constructor call, which raises on a clash.
 
-The four primitives (``set_table``, ``product``, ``sum_out``, ``add_tables``)
+The three arithmetic primitives (``product``, ``sum_out``, ``add_tables``)
 accept an optional :class:`~ctxve.counters.CostCounters`; cost accounting is
 owned by the calling engine, never by this module.  ``product`` and
 ``add_tables`` skip the broadcast alignment when the variable lists are equal
@@ -261,7 +261,7 @@ def _broadcast_to(table: Table, out_vars: Sequence[VariableId]) -> np.ndarray:
     return arr.reshape(shape)
 
 
-def set_table(f: Table, c: Context, counters=None) -> Table:
+def set_table(f: Table, c: Context) -> Table:
     """Fix the variables of ``c`` that occur in ``f``; project onto the rest.
 
     Variables of ``c`` absent from ``f`` are ignored; the empty context is a

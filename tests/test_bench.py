@@ -165,26 +165,26 @@ class TestCampaign:
         # Every counter column of a small biased campaign, pinned by hash:
         # any change to what an engine multiplies, adds, splits or
         # materializes changes it.  The tree engine keeps the all-ones
-        # results of pure members; pruning them there changes the hash.
+        # results of pure members; pruning them there changes the hash.  It
+        # drops constant groups as the tabular engine drops its scalars
+        # (the hash was a98fce8705e243f9 while it multiplied them in).
         nets = [
             (f"b{k}", generate_biased_cbn(GenConfig(n=16, s=12, p=0.2, seed=k)))
             for k in range(8)
         ]
         _, csv = run_campaign(nets, obs_counts=(0, 3, 6), seed=7, replicates=1)
         digest = hashlib.sha256("\n".join(strip_time(csv)).encode()).hexdigest()
-        assert digest.startswith("a98fce8705e243f9"), digest
+        assert digest.startswith("ecac1153694f8c36"), digest
 
     @pytest.mark.xfail(
         strict=True,
         raises=RuntimeError,
-        reason="tve keeps constant groups ve drops, and orders its merges by "
-        "signature size, not by ve's dense sizes",
+        reason="tve orders its merges by signature size, not by ve's dense sizes",
     )
     def test_context_only_networks_pass_the_mults_check(self):
         # Valid context-only networks on which the tree engine multiplies
-        # more than the tabular one: on c0/x6 it keeps a result group with
-        # an empty signature that finish multiplies in (64 vs 62 mults);
-        # on c5/x8 its merge order differs after evidence (196 vs 172).
+        # more than the tabular one: on c5/x8 its merge order differs from
+        # the tabular engine's after evidence (196 vs 172 mults).
         nets = [
             (f"c{k}", generate_biased_cbn(GenConfig(n=12, s=40, p=0.0, seed=k)))
             for k in range(8)
@@ -196,6 +196,25 @@ class TestCampaign:
             run_campaign(self.nets(), engines=("ve", "nope"))
         with pytest.raises(ValueError, match="replicates must be at least 1"):
             run_campaign(self.nets(), replicates=0)
+        for count in (0, -2):
+            with pytest.raises(ValueError, match="queries per network"):
+                run_campaign(self.nets(), queries_per_net=count)
+        with pytest.raises(ValueError, match="observation counts"):
+            run_campaign(self.nets(), obs_counts=(0, -3))
+
+    def test_tve_drops_the_constants_ve_drops(self):
+        # Eliminating the unconnected roots x4 and x5 and the barren leaf x3
+        # leaves constant groups; multiplying them into the answer would
+        # cost the tree engine more than the tabular engine.
+        net = generate_random_cbn(GenConfig(n=5, s=2, seed=1))
+        records, _ = run_campaign(
+            [("n5", net)], queries_per_net=3, obs_counts=(0,), replicates=1
+        )
+        mults = {(r.query, r.evidence, r.engine): r.mults for r in records}
+        rows = {(r.query, r.evidence) for r in records}
+        assert len(rows) > 1
+        for q, e in rows:
+            assert mults[q, e, "tve"] <= mults[q, e, "ve"]
 
     def test_tabular_network_equalizes_ve_and_cve_columns(self):
         # fully connected, so every family is multiplied before its variable

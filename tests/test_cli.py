@@ -221,3 +221,20 @@ class TestGenCompressBench:
         lines = csv_path.read_text().strip().split("\n")
         assert lines[0].startswith("network,query,evidence,engine,time_ms")
         assert len(lines) == 1 + 2 * 3
+
+    def test_bench_on_network_with_constant_groups(self, capsys, tmp_path):
+        # Eliminating x3, x4 and x5 leaves constants; tve must drop them,
+        # as ve does, or the campaign's mults check fails.
+        net_path = tmp_path / "n5.json"
+        run(capsys, "gen", "--n", "5", "--s", "2", "--seed", "1", "-o", str(net_path))
+        code, out, err = run(capsys, "bench", str(net_path), "--obs-counts", "0")
+        assert code == 0, err
+        assert len(out.strip().split("\n")) == 1 + 3
+
+    def test_bench_rejects_bad_counts(self, capsys, tmp_path):
+        net_path = tmp_path / "bench-net.json"
+        run(capsys, "gen", "--n", "7", "--s", "3", "--seed", "5", "-o", str(net_path))
+        for flag in ("--queries-per-net=0", "--queries-per-net=-2", "--obs-counts=-3"):
+            code, out, err = run(capsys, "bench", str(net_path), flag)
+            assert code == 1, flag
+            assert out == "" and err.startswith("error:"), flag

@@ -15,6 +15,7 @@ from ctxve import (
     ve_query,
 )
 from ctxve.engine_ve import TabularVE
+from ctxve.posterior import cancels
 
 from conftest import brute_posterior, ctx
 
@@ -68,13 +69,23 @@ class TestMultiplyFactors:
         _, p_ba, p_cb, p_db = chain_factors()
         left, _ = multiply_factors([p_ba, p_cb, p_db], policy="left")
         right, _ = multiply_factors([p_ba, p_cb, p_db], policy="right")
-        perm, _ = multiply_factors([p_ba, p_cb, p_db], policy=[2, 0, 1])
-        for other in (right, perm):
+        recompute, _ = multiply_factors([p_ba, p_cb, p_db], policy="recompute")
+        for other in (right, recompute):
             assert set(other.vars) == set(left.vars)
             perm_axes = [other.vars.index(v) for v in left.vars]
             np.testing.assert_allclose(
                 left.array, np.transpose(other.array, perm_axes), atol=1e-12
             )
+
+
+class TestCancels:
+    def test_only_variable_free_tables_cancel(self):
+        assert not cancels(Table((0,), np.array([0.0, 1.0])))
+        assert cancels(Table.scalar(0.25))
+
+    def test_zero_constant_raises(self):
+        with pytest.raises(ZeroEvidenceError, match="probability zero"):
+            cancels(Table.scalar(0.0))
 
 
 class TestQueries:
