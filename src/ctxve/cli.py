@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Verbs: ``validate``, ``infer``, ``gen``, ``compress``, ``bench``.
-Exit codes: 0 on success, 1 on usage errors (bad flags, unknown names,
-malformed or invalid networks), 2 on inference errors such as evidence with
-probability zero.
+Exit codes: 0 on success (``--help`` included), 1 on usage errors (bad or
+missing flags, unknown names, malformed or invalid networks), 2 on inference
+errors such as evidence with probability zero.  ``bench`` keeps going past a
+query that fails: its CSV row reads ``error`` and the reason goes to stderr.
 """
 
 from __future__ import annotations
@@ -149,13 +150,20 @@ def _cmd_bench(args) -> int:
     nets = [(path, load(path)) for path in args.networks]
     obs_counts = [int(x) for x in args.obs_counts.split(",") if x.strip()]
     engines = [x.strip() for x in args.engines.split(",") if x.strip()]
-    _, csv = run_campaign(
+    records, csv = run_campaign(
         nets,
         queries_per_net=args.queries_per_net,
         obs_counts=obs_counts,
         seed=args.seed,
         engines=engines,
     )
+    for rec in records:
+        if rec.error is not None:
+            print(
+                f"failed: {rec.network} query {rec.query} evidence '{rec.evidence}' "
+                f"engine {rec.engine}: {rec.error}",
+                file=sys.stderr,
+            )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(csv)
@@ -166,8 +174,10 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help exits 0, a usage error 2
+        return USAGE_ERROR if exc.code else 0
     handlers = {
         "validate": _cmd_validate,
         "infer": _cmd_infer,

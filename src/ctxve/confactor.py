@@ -5,7 +5,8 @@ a partial function that only has a value where its body holds.
 :func:`split_on_context` splits a body and its tables on a context,
 :func:`tile` places tables in the blocks of a dense array where their bodies
 hold, and :func:`pairwise` combines the compatible pairs of two confactor
-sets (the tree engine's product and the group sum of body occurrences);
+sets (the tree engine's product, its lazy last product of a bucket, and the
+group sum of body occurrences);
 every engine, the network's dense expansion and the posterior extraction go
 through these.  :func:`partition_faults` is the one check that a set of
 bodies is mutually exclusive and exhaustive.  Engines track
@@ -118,28 +119,46 @@ def partition_faults(catalog: DomainCatalog, bodies: Sequence[Context]) -> list[
     return faults
 
 
+class Member:
+    """A confactor whose table is kept as a lazy product: a list of factors,
+    each reduced on the body.  Contextual VE's absorbing set is made of
+    these; the tree engine hands each eliminated variable's bucket over as
+    members too."""
+
+    __slots__ = ("body", "tables", "for_vars", "pure_for")
+
+    def __init__(self, body, tables, for_vars, pure_for):
+        self.body = body
+        self.tables = tables
+        self.for_vars = for_vars
+        self.pure_for = pure_for
+
+
 def pairwise(
     a_items: Iterable[Confactor],
     b_items: Sequence[Confactor],
-    op: Callable[..., Table],
+    op: Optional[Callable[..., Table]] = None,
     counters=None,
-) -> list[Confactor]:
+) -> list:
     """Combine every compatible pair ``(a, b)``: the union of the bodies and
-    ``op`` (``product`` or ``add_tables``) of the two tables, each reduced on
-    the other's body.  Incompatible pairs vanish.  Provenance unites and
-    purity intersects."""
+    the two tables, each reduced on the other's body.  With ``op``
+    (``product`` or ``add_tables``) each pair becomes a :class:`Confactor`
+    holding ``op`` of the two tables; without, it is handed back unmultiplied
+    as a two-table :class:`Member`.  Incompatible pairs vanish.  Provenance
+    unites and purity intersects."""
     out = []
     for a in a_items:
         for b in b_items:
             if compatible(a.body, b.body):
-                out.append(
-                    Confactor(
-                        context_union(a.body, b.body),
-                        op(set_table(a.table, b.body), set_table(b.table, a.body), counters),
-                        a.for_vars | b.for_vars,
-                        a.pure_for & b.pure_for,
+                body = context_union(a.body, b.body)
+                a_table, b_table = set_table(a.table, b.body), set_table(b.table, a.body)
+                for_vars, pure_for = a.for_vars | b.for_vars, a.pure_for & b.pure_for
+                if op is None:
+                    out.append(Member(body, [a_table, b_table], for_vars, pure_for))
+                else:
+                    out.append(
+                        Confactor(body, op(a_table, b_table, counters), for_vars, pure_for)
                     )
-                )
     return out
 
 

@@ -6,7 +6,8 @@ family), the other confactors involving Y, and the rest.  Each confactor
 involving Y is absorbed into the complete set: members incompatible with it
 pass through, compatible members are split so that exactly one piece matches
 and that piece collects the incoming table.  Absorbed tables are multiplied
-lazily: each member keeps a list of tables (a :class:`Member`).
+lazily: each member keeps a list of tables (a
+:class:`~ctxve.confactor.Member`).
 
 Summing Y out of the members is :func:`sum_out_members`, the one sum-out
 step of both contextual engines (the tree engine calls it too).  Table
@@ -32,7 +33,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .confactor import EMPTY, Confactor, pairwise, partition_faults, split_on_context, tile
+from .confactor import (
+    EMPTY,
+    Confactor,
+    Member,
+    pairwise,
+    partition_faults,
+    split_on_context,
+    tile,
+)
 from .counters import CostCounters
 from .errors import InvariantError, ZeroEvidenceError
 from .network import ContextualBeliefNetwork, joint_table
@@ -117,20 +126,6 @@ def sum_out_body_occurrences(
     for other in groups[1:]:
         acc = pairwise(acc, other, add_tables, counters)
     return acc
-
-
-class Member:
-    """A confactor whose table is kept as a lazy product: a list of factors,
-    each reduced on the body.  Contextual VE's absorbing set is made of
-    these; the tree engine passes each confactor as a one-table member."""
-
-    __slots__ = ("body", "tables", "for_vars", "pure_for")
-
-    def __init__(self, body, tables, for_vars, pure_for):
-        self.body = body
-        self.tables = tables
-        self.for_vars = for_vars
-        self.pure_for = pure_for
 
 
 def sum_out_members(

@@ -4,20 +4,23 @@ Follows the tabular engine's schedule exactly (the same factors are
 multiplied and the same variable summed out at each step) but represents
 every factor as a complete confactor set, so each multiplication only pays
 for the compatible pieces.  This is the control that separates the benefit
-of contextual tables from the benefit of contextual VE's lazy multiplication:
-here every pending multiplication is performed eagerly, as in the tabular
-engine.
+of contextual tables from the benefit of contextual VE's lazy multiplication
+in the counters, which count every pending multiplication as performed
+eagerly.  In wall time it is not eager: like the tabular engine, it never
+builds the last product of a bucket.
 
-Two groups multiply through :func:`~ctxve.confactor.pairwise` with
-``product``.  Eliminating a variable sums it out of the merged group with
-contextual VE's own sum-out step, :func:`~ctxve.engine_cve.sum_out_members`,
-each confactor passed as a one-table member.  The members are given empty
-purity, so nothing is pruned: all-ones results are kept, as the tabular
-engine keeps them.  A result with no variables is a constant and is dropped
-through :func:`~ctxve.posterior.cancels`, as the tabular engine drops its
-scalars.  ``finish`` merges what is left and tiles it densely over
-its signature; the query lifecycle checks that the signature is the query
-and normalizes.
+Groups multiply through :func:`~ctxve.confactor.pairwise` with ``product``.
+Eliminating a variable multiplies its bucket's groups that way up to the
+largest, which ``pairwise`` pairs with the rest unmultiplied, as two-table
+members.  Contextual VE's sum-out step,
+:func:`~ctxve.engine_cve.sum_out_members`, contracts each pair over the
+variable, so that product is counted (its multiplications, and each pair's
+size in ``max_table``) but never built.  Nothing is pruned: a lone group's
+members are given empty purity, and a pair's purity intersects to empty, as
+two groups descend from disjoint families.  A result with no variables is a
+constant and is dropped through :func:`~ctxve.posterior.cancels`, as the
+tabular engine drops its scalars.  ``finish`` merges what is left eagerly
+and tiles it densely over its signature.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .confactor import EMPTY, Confactor, pairwise
+from .confactor import EMPTY, Confactor, Member, pairwise
 from .counters import CostCounters
-from .engine_cve import Member, incorporate_evidence, sum_out_members
+from .engine_cve import incorporate_evidence, sum_out_members
 from .errors import InvariantError
 from .network import ContextualBeliefNetwork
 from .orders import Engine
@@ -54,6 +57,16 @@ class GroupedFactor:
         return math.prod(catalog.size(v) for v in self.signature) if self.signature else 1
 
 
+def note_products(catalog: DomainCatalog, sizes: Sequence[int], signature, counters) -> None:
+    """Note the member products of one grouped multiplication as created
+    tables and check that together they never exceed the size of the dense
+    factor over ``signature``."""
+    if counters is not None:
+        counters.note_tables(sizes)
+    if sum(sizes) > math.prod(catalog.size(v) for v in signature):
+        raise InvariantError("grouped factor exceeds its dense factor size")
+
+
 def tve_multiply(
     catalog: DomainCatalog,
     g1: GroupedFactor,
@@ -68,17 +81,18 @@ def tve_multiply(
     again and its total table size never exceeds the size of the
     corresponding dense factor.
     """
-    members = pairwise(g1.members, g2.members, product, counters)
-    if counters is not None:
-        counters.note_tables([r.size for r in members])
-    result = GroupedFactor(members)
-    if result.total_size() > result.signature_space(catalog):
-        raise InvariantError("grouped factor exceeds its dense factor size")
+    result = GroupedFactor(pairwise(g1.members, g2.members, product, counters))
+    note_products(catalog, [r.size for r in result.members], result.signature, counters)
     return result
 
 
 class TreeVE(Engine):
-    """Grouped confactor sets; the query lifecycle is :meth:`Engine.query`."""
+    """Grouped confactor sets; the query lifecycle is :meth:`Engine.query`.
+
+    The eager control in its counters only: the last product of each bucket
+    is contracted over the eliminated variable, not built, but its
+    multiplications are counted and each pair's size is noted in
+    ``max_table``, as if it had been built."""
 
     def __init__(self, net: ContextualBeliefNetwork):
         super().__init__(net)
@@ -110,13 +124,21 @@ class TreeVE(Engine):
         if not involved:
             self.counters.record_elimination(y, (), 0)
             return
-        merged = self._merge(involved)
-        members = sum_out_members(
-            self.net.catalog,
-            [Member(r.body, [r.table], r.for_vars, EMPTY) for r in merged.members],
-            y,
-            self.counters,
-        )
+        catalog = self.net.catalog
+        *head, last = sorted(involved, key=lambda g: g.signature_space(catalog))
+        if head:
+            # The bucket's last product stays lazy: sum_out_members contracts
+            # each pair over y.  It is counted as if built.
+            merged = self._merge(head)
+            pairs = pairwise(merged.members, last.members)
+            sizes = [
+                math.prod(catalog.size(v) for v in {*m.tables[0].vars, *m.tables[1].vars})
+                for m in pairs
+            ]
+            note_products(catalog, sizes, merged.signature | last.signature, self.counters)
+        else:
+            pairs = [Member(r.body, [r.table], r.for_vars, EMPTY) for r in last.members]
+        members = sum_out_members(catalog, pairs, y, self.counters)
         result = GroupedFactor(members)
         if result.signature:
             rest.append(result)

@@ -18,7 +18,7 @@ owned by the calling engine, never by this module.  ``product`` and
 or an operand is a scalar (most calls of the contextual engines); the same
 IEEE operation meets the same entries, so the values are bitwise identical.
 
-``multiply_all_sum_out`` is the bucket kernel of ``ve`` and ``cve``: it
+``multiply_all_sum_out`` is the bucket kernel of all three engines: it
 multiplies a bucket's tables smallest first and hands the last pair to
 ``contract``, which sums ``y`` out of their product with batched
 ``np.matmul`` and never builds that product.  Large contractions run in

@@ -1,11 +1,12 @@
 """Command-line interface, end to end on temp files."""
 
 import json
+from unittest import mock
 
 import pytest
 
-from ctxve import Context, load, min_size_order, save
-from ctxve.cli import main
+from ctxve import ENGINES, Context, TreeVE, load, min_size_order, save
+from ctxve.cli import INFERENCE_ERROR, USAGE_ERROR, main
 
 from conftest import tree_network
 
@@ -125,6 +126,20 @@ class TestInfer:
             assert out == ""
             assert "--order and --stats" in err
 
+    def test_argparse_errors_are_usage_errors(self, capsys, tree_path):
+        for argv in (
+            ["infer", tree_path],
+            ["infer", tree_path, "--query", "e", "--engine", "bogus"],
+            ["frobnicate"],
+            [],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == USAGE_ERROR != INFERENCE_ERROR, argv
+            assert out == "" and "usage:" in err, argv
+        code, out, _ = run(capsys, "infer", "--help")
+        assert code == 0
+        assert "--query" in out
+
     def test_unknown_variable_is_usage_error(self, capsys, tree_path):
         code, _, err = run(capsys, "infer", tree_path, "--query", "nope")
         assert code == 1
@@ -230,6 +245,31 @@ class TestGenCompressBench:
         code, out, err = run(capsys, "bench", str(net_path), "--obs-counts", "0")
         assert code == 0, err
         assert len(out.strip().split("\n")) == 1 + 3
+
+    def test_bench_reports_failed_rows(self, capsys, tmp_path):
+        class Failing(TreeVE):
+            def eliminate(self, y):
+                raise RuntimeError("boom")
+
+        net_path = tmp_path / "bench-net.json"
+        run(capsys, "gen", "--n", "7", "--s", "3", "--seed", "5", "-o", str(net_path))
+        code, before, _ = run(capsys, "bench", str(net_path), "--obs-counts", "0,2")
+        assert code == 0
+        with mock.patch.dict(ENGINES, {"tve": Failing}):
+            code, out, err = run(capsys, "bench", str(net_path), "--obs-counts", "0,2")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == before.split("\n")[0]
+        failed = [line for line in lines if ",tve," in line]
+        assert len(failed) == 2 and all(line.endswith(",error" * 7) for line in failed)
+        reports = err.strip().split("\n")
+        assert len(reports) == 2
+        for line, report in zip(failed, reports):
+            network, query, evidence = line.split(",")[:3]
+            assert report == (
+                f"failed: {network} query {query} evidence '{evidence}' "
+                "engine tve: RuntimeError: boom"
+            )
 
     def test_bench_rejects_bad_counts(self, capsys, tmp_path):
         net_path = tmp_path / "bench-net.json"

@@ -1,6 +1,8 @@
 """Tree-based elimination: grouped factors on the tabular schedule."""
 
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,17 +10,27 @@ import pytest
 from ctxve import (
     Confactor,
     Context,
+    ContextualBeliefNetwork,
     DomainCatalog,
     GenConfig,
     GroupedFactor,
+    ParentSkeleton,
     SplitMix64,
+    Table,
+    from_skeleton,
+    generate_biased_cbn,
     generate_random_cbn,
+    min_size_order,
     tve_multiply,
     tve_query,
     ve_query,
 )
+from ctxve import engine_tve
+from ctxve.confactor import EMPTY, Member
+from ctxve.engine_cve import sum_out_members
 from ctxve.engine_tve import TreeVE
 from ctxve.engine_ve import TabularVE
+from ctxve.posterior import cancels
 
 from conftest import T, brute_posterior, ctx, find_confactor, table
 
@@ -175,3 +187,148 @@ class TestGroupSizes:
         rec = engine.counters.elimination_for(ot)
         assert max(rec.created) == 128
         assert engine.counters.max_table_size == 128
+
+
+class EagerTreeVE(TreeVE):
+    """Reference: the tree engine's step as it was before the last product
+    of a bucket went lazy.  Every group of the bucket is multiplied in with
+    ``tve_multiply`` and ``y`` is summed out of the merged group."""
+
+    def eliminate(self, y):
+        involved = [g for g in self.groups if y in g.signature]
+        rest = [g for g in self.groups if y not in g.signature]
+        if not involved:
+            self.counters.record_elimination(y, (), 0)
+            return
+        merged = self._merge(involved)
+        members = sum_out_members(
+            self.net.catalog,
+            [Member(r.body, [r.table], r.for_vars, EMPTY) for r in merged.members],
+            y,
+            self.counters,
+        )
+        result = GroupedFactor(members)
+        if result.signature:
+            rest.append(result)
+        else:
+            for r in result.members:
+                cancels(r.table)
+        self.groups = rest
+        self.counters.record_elimination(y, [r.size for r in members], result.total_size())
+
+
+def contextual_mixed_network(seed: int, n: int = 9) -> ContextualBeliefNetwork:
+    """Domains of 2, 3 and 4 values; each variable has up to three earlier
+    parents and may split on one of them, keeping a random subset of the
+    others in each context's table."""
+    rng = SplitMix64(seed)
+    sizes = [2 + rng.below(3) for _ in range(n)]
+    cat = DomainCatalog([(f"x{i}", tuple(f"k{j}" for j in range(s))) for i, s in enumerate(sizes)])
+
+    def cpt(vars):
+        arr = np.array([0.05 + rng.uniform() for _ in range(int(np.prod(cat.shape(vars))))])
+        arr = arr.reshape(cat.shape(vars))
+        return Table(vars, arr / arr.sum(axis=len(vars) - 1, keepdims=True))
+
+    families = []
+    for x in range(n):
+        parents = sorted({rng.below(x) for _ in range(rng.below(4))}) if x else []
+        if parents and rng.below(3):
+            c = parents[rng.below(len(parents))]
+            others = [v for v in parents if v != c]
+            pairs = [
+                (Context([(c, val)]), [v for v in others if rng.below(2)])
+                for val in range(sizes[c])
+            ]
+        else:
+            pairs = [(Context(), parents)]
+        skeleton = ParentSkeleton(x, pairs)
+        families.append(from_skeleton(cat, skeleton, [cpt((*vs, x)) for _, vs in skeleton.pairs]))
+    return ContextualBeliefNetwork(cat, families)
+
+
+def random_evidence(net, rng, query):
+    return Context(
+        (v, rng.below(net.catalog.size(v)))
+        for v in range(net.n_vars())
+        if v != query and rng.below(4) == 0
+    )
+
+
+class TestLazyLastProduct:
+    """The fused step against the eager reference: the same counters, step
+    by step, and the same answers."""
+
+    def networks(self):
+        for seed in range(12):
+            yield generate_random_cbn(GenConfig(n=10, s=6, p=0.3, seed=seed))
+            yield generate_biased_cbn(GenConfig(n=10, s=8, p=0.3, seed=seed))
+            yield contextual_mixed_network(seed)
+
+    def test_counters_and_answers_match_the_eager_reference(self):
+        rng = SplitMix64(99)
+        body_pairs = table_pairs = 0
+        original = engine_tve.sum_out_members
+
+        def spy(catalog, members, y, counters):
+            nonlocal body_pairs, table_pairs
+            for m in members:
+                if len(m.tables) == 2:
+                    if y in m.body:
+                        body_pairs += 1
+                    else:
+                        table_pairs += 1
+            return original(catalog, members, y, counters)
+
+        for net in self.networks():
+            for _ in range(3):
+                query = rng.below(net.n_vars())
+                obs = random_evidence(net, rng, query)
+                order = min_size_order(net, [query], obs)
+                eager = EagerTreeVE(net)
+                expected = eager.query([query], obs, order)
+                fused = TreeVE(net)
+                with mock.patch.object(engine_tve, "sum_out_members", spy):
+                    got = fused.query([query], obs, order)
+                assert fused.counters == eager.counters
+                assert got.max_abs_diff(expected) < 1e-12
+        # both kinds of pair were contracted: y in a table and y in a body
+        assert body_pairs > 0 and table_pairs > 0
+
+    def test_peak_memory_stays_near_the_result(self):
+        # y's bucket: its prior, A over (y, x1..x9) and B over (y, z1..z10).
+        # The last compatible pair would multiply out to 2^22 entries; the
+        # result over the other 21 variables has 2^21.
+        names = ["y", *(f"x{i}" for i in range(1, 10)), "a", *(f"z{i}" for i in range(1, 11)), "b"]
+        cat = DomainCatalog([(name, ("0", "1")) for name in names])
+        rng = SplitMix64(5)
+        y, a, b = cat.index("y"), cat.index("a"), cat.index("b")
+        parents = {
+            a: [y, *range(1, 10)],
+            b: [y, *range(11, 21)],
+        }
+
+        def cpt(vars):
+            arr = np.array([0.05 + rng.uniform() for _ in range(2 ** len(vars))])
+            arr = arr.reshape((2,) * len(vars))
+            return Table(vars, arr / arr.sum(axis=-1, keepdims=True))
+
+        families = []
+        for x in range(len(names)):
+            vs = parents.get(x, [])
+            families.append(from_skeleton(cat, ParentSkeleton(x, [(Context(), vs)]), [cpt((*vs, x))]))
+        net = ContextualBeliefNetwork(cat, families)
+        engine = TreeVE(net)
+        engine.begin()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            engine.eliminate(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (result,) = [g for g in engine.groups if a in g.signature]
+        (member,) = result.members
+        assert member.table.size == 1 << 21
+        assert engine.counters.max_table_size == 1 << 22
+        assert peak < 1.5 * member.table.array.nbytes
