@@ -14,9 +14,10 @@ step of both contextual engines (the tree engine calls it too).  Table
 occurrences are multiplied smallest first by the tabular engine's kernel
 (:func:`~ctxve.tables.multiply_all_sum_out`), whose last product is
 contracted with the sum over Y and never built, so the multiplication order
-inside one context mirrors the tabular engine's ascending-size policy rather
-than the incidental absorption order.  Body occurrences are added across Y's
-values with the group-sum operator.  Members still pure for Y (never
+inside one context mirrors the tabular engine's fold order
+(:func:`~ctxve.tables.fold_key`) rather than the incidental absorption
+order.  Body occurrences are added across Y's values with the group-sum
+operator.  Members still pure for Y (never
 multiplied since leaving Y's family) sum to all-ones tables, so they are
 dropped instead of summed; a group-sum output is dropped only when every
 piece that fed it was pure, because a pure piece can face an impure sibling
@@ -192,9 +193,19 @@ class ContextualVE(Engine):
     def begin(self, obs: Optional[Context] = None) -> None:
         self._obs = obs or Context()
         self._eliminated = []
-        self.base = incorporate_evidence(self.net.all_confactors(), self._obs)
+        families = self.net.families
+        self.base = incorporate_evidence(
+            [r for x in self.relevant for r in families[x]], self._obs
+        )
         if self.audit:
-            self._reference = joint_table(self.net, self._obs, cap=AUDIT_CAP)
+            # The joint of the whole network, with the pruned (barren)
+            # variables summed out: their families sum to ones.
+            reference = joint_table(self.net, self._obs, cap=AUDIT_CAP)
+            relevant = set(self.relevant)
+            for v in reference.vars:
+                if v not in relevant:
+                    reference = sum_out(reference, v)
+            self._reference = reference
             self._check_invariants()
 
     def eliminate(self, y: VariableId) -> None:
@@ -280,11 +291,11 @@ class ContextualVE(Engine):
     def _check_invariants(self) -> None:
         assert self._reference is not None
         catalog = self.net.catalog
-        gone = set(self._obs.vars()) | set(self._eliminated)
-        remaining = [v for v in range(self.net.n_vars()) if v not in gone]
         marginal = self._reference
         for v in self._eliminated:
-            marginal = sum_out(marginal, v)
+            if v in marginal.vars:  # not a pruned variable of a user order
+                marginal = sum_out(marginal, v)
+        remaining = sorted(marginal.vars)
         # Product of the applicable confactor values must be proportional to
         # the evidence-weighted marginal, everywhere.
         prod_arr = np.ones(catalog.shape(remaining))

@@ -15,12 +15,14 @@ largest, which ``pairwise`` pairs with the rest unmultiplied, as two-table
 members.  Contextual VE's sum-out step,
 :func:`~ctxve.engine_cve.sum_out_members`, contracts each pair over the
 variable, so that product is counted (its multiplications, and each pair's
-size in ``max_table``) but never built.  Nothing is pruned: a lone group's
-members are given empty purity, and a pair's purity intersects to empty, as
-two groups descend from disjoint families.  A result with no variables is a
-constant and is dropped through :func:`~ctxve.posterior.cancels`, as the
-tabular engine drops its scalars.  ``finish`` merges what is left eagerly
-and tiles it densely over its signature.
+size in ``max_table``) but never built.  Apart from the barren families
+that no engine reads (:mod:`ctxve.orders`), nothing is pruned: a lone
+group's members are given empty purity, and a pair's purity intersects to
+empty, as two groups descend from disjoint families.  A result with no
+variables is a constant and is dropped through
+:func:`~ctxve.posterior.cancels`, as the tabular engine drops its scalars.
+``finish`` merges what is left eagerly and tiles it densely over its
+signature.
 """
 
 from __future__ import annotations
@@ -55,6 +57,11 @@ class GroupedFactor:
 
     def signature_space(self, catalog: DomainCatalog) -> int:
         return math.prod(catalog.size(v) for v in self.signature) if self.signature else 1
+
+    def fold_key(self, catalog: DomainCatalog) -> tuple[int, list[int]]:
+        """The tabular engine's fold order (:func:`~ctxve.tables.fold_key`)
+        on the dense factor this group stands for."""
+        return self.signature_space(catalog), sorted(self.signature)
 
 
 def note_products(catalog: DomainCatalog, sizes: Sequence[int], signature, counters) -> None:
@@ -101,7 +108,7 @@ class TreeVE(Engine):
     def begin(self, obs: Optional[Context] = None) -> None:
         obs = obs or Context()
         self.groups = []
-        for x in range(self.net.n_vars()):
+        for x in self.relevant:
             members = incorporate_evidence(self.net.families[x], obs)
             if members:
                 self.groups.append(GroupedFactor(members))
@@ -110,7 +117,7 @@ class TreeVE(Engine):
         """Multiply groups pairwise in the tabular engine's order: ascending
         by the size of the dense factor each group stands for."""
         catalog = self.net.catalog
-        ordered = sorted(groups, key=lambda g: g.signature_space(catalog))
+        ordered = sorted(groups, key=lambda g: g.fold_key(catalog))
         merged = ordered[0]
         for g in ordered[1:]:
             merged = tve_multiply(catalog, merged, g, self.counters)
@@ -125,7 +132,7 @@ class TreeVE(Engine):
             self.counters.record_elimination(y, (), 0)
             return
         catalog = self.net.catalog
-        *head, last = sorted(involved, key=lambda g: g.signature_space(catalog))
+        *head, last = sorted(involved, key=lambda g: g.fold_key(catalog))
         if head:
             # The bucket's last product stays lazy: sum_out_members contracts
             # each pair over y.  It is counted as if built.

@@ -60,10 +60,10 @@ class TabularVE(Engine):
         self.factors: list[Table] = []
 
     def begin(self, obs: Optional[Context] = None) -> None:
-        """Expand the network to tables and substitute the evidence."""
+        """Expand the relevant families to tables and substitute the evidence."""
         obs = obs or Context()
         self.factors = []
-        for x in range(self.net.n_vars()):
+        for x in self.relevant:
             factor = set_table(self.net.tabular_factor(x), obs)
             if not cancels(factor):
                 self.factors.append(factor)

@@ -60,10 +60,26 @@ class ContextualBeliefNetwork:
         self.catalog = catalog
         # Family members are stamped as (pure) confactors for their child so
         # engines can track provenance regardless of how they were built.
+        # One immutable set per family serves as both stamps of every member,
+        # and equal bodies share one (immutable) context.
+        stamps = [frozenset({x}) for x in range(len(families))]
+        bodies: dict[Context, Context] = {}
         self.families: tuple[tuple[Confactor, ...], ...] = tuple(
-            tuple(Confactor(r.body, r.table, frozenset({x}), frozenset({x})) for r in fam)
+            tuple(
+                Confactor(bodies.setdefault(r.body, r.body), r.table, stamps[x], stamps[x])
+                for r in fam
+            )
             for x, fam in enumerate(families)
         )
+        # The variables of each family's confactors (bodies and tables), in
+        # ascending id: the family's dense scope, its variable and parents.
+        scopes = []
+        for fam in self.families:
+            scope: set[int] = set()
+            for r in fam:
+                scope.update(r.body.vars(), r.table.vars)
+            scopes.append(tuple(sorted(scope)))
+        self.scopes: tuple[tuple[int, ...], ...] = tuple(scopes)
         self._tabular_cache: dict[int, Table] = {}
 
     def all_confactors(self) -> list[Confactor]:
@@ -76,7 +92,10 @@ class ContextualBeliefNetwork:
         return sum(r.size for r in self.all_confactors())
 
     def total_tabular_size(self) -> int:
-        return sum(self.tabular_factor(x).size for x in range(self.n_vars()))
+        """Entries of all the dense family tables, counted without building
+        any of them."""
+        size = self.catalog.size
+        return sum(math.prod(size(v) for v in scope) for scope in self.scopes)
 
     def tabular_factor(self, x: VariableId) -> Table:
         """Expand the family of ``x`` into one dense conditional table.
@@ -88,9 +107,8 @@ class ContextualBeliefNetwork:
         cached = self._tabular_cache.get(x)
         if cached is not None:
             return cached
-        fam = self.families[x]
-        scope = tuple(sorted({v for r in fam for v in r.variables()}))
-        result = Table(scope, tile(fam, scope, self.catalog, 0.0))
+        scope = self.scopes[x]
+        result = Table(scope, tile(self.families[x], scope, self.catalog, 0.0))
         self._tabular_cache[x] = result
         return result
 

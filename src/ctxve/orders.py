@@ -1,12 +1,13 @@
 """The query lifecycle and the elimination orders shared by all engines.
 
-:class:`Engine` holds the only ``query()``: it validates the query, picks or
-checks the elimination order, then runs the subclass's per-variable step:
-``begin(obs)`` substitutes the evidence, ``eliminate(y)`` removes one
-variable, ``finish(query_vars)`` multiplies what is left into one
-unnormalized table.  ``query()`` then checks that this table ranges over
-exactly the query variables (else :class:`~ctxve.errors.InvariantError`)
-and normalizes it: that answer step is the same for every engine.
+:class:`Engine` holds the only ``query()``: it validates the query, finds the
+relevant variables, picks or checks the elimination order, then runs the
+subclass's per-variable step: ``begin(obs)`` substitutes the evidence into
+the relevant families, ``eliminate(y)`` removes one variable,
+``finish(query_vars)`` multiplies what is left into one unnormalized table.
+``query()`` then checks that this table ranges over exactly the query
+variables (else :class:`~ctxve.errors.InvariantError`) and normalizes it:
+that answer step is the same for every engine.
 A query must be non-empty, name existing variables, repeat none and observe
 none, and the evidence must assign existing variables values inside their
 domains; any other query raises ``ValueError`` before any work is done.
@@ -14,14 +15,29 @@ A network with an empty family (possible only when force-loaded) supports
 no evidence at all, so every query on it raises
 :class:`~ctxve.errors.ZeroEvidenceError`, also before any work is done.
 
-The default order is greedy min-size: repeatedly eliminate the variable
-whose elimination builds the smallest factor, measured as the product of the
-domain sizes of the union of the variables of all factors involving it, the
-lowest variable id winning ties.  It is planned on the elimination graph of
-the evidence-reduced tabular factor scopes, so every engine given the same
-(network, query, evidence) gets the same order.  The planner updates only
-the neighbours of each eliminated variable, so a long chain is ordered in
-time linear in its length.
+Barren variables are pruned before planning, in every engine.  The relevant
+variables (:func:`relevant_variables`) are the query and observed variables
+and all their ancestors, a variable's parents being the other variables of
+its family's confactors.  Any other variable is barren: summed out, its
+family and those of its barren descendants give all-ones tables, so they
+cannot change the answer (Shachter 1986; Baker & Boult 1990).  ``begin``
+reads only the relevant families, so a barren family is never multiplied,
+summed or expanded densely.  This holds for valid networks, whose families
+are normalized; a force-loaded network whose barren family is not may get
+different answers from the engines and from ``enum_query``, which sums the
+whole joint and stays the unpruned oracle.
+
+The default order is greedy min-size over the relevant unobserved non-query
+variables: repeatedly eliminate the variable whose elimination builds the
+smallest factor, measured as the product of the domain sizes of the union of
+the variables of all factors involving it, the lowest variable id winning
+ties.  It is planned on the elimination graph of the evidence-reduced scopes
+of the relevant families, so every engine given the same (network, query,
+evidence) gets the same order.  The planner updates only the neighbours of
+each eliminated variable, so a long chain is ordered in time linear in its
+length.  A user order must cover the relevant unobserved non-query
+variables; it may also list barren ones, each of which becomes a step that
+touches nothing.
 """
 
 from __future__ import annotations
@@ -40,14 +56,18 @@ from .tables import Context, VariableId
 class Engine:
     """One engine instance per query over a shared immutable network.
 
-    After :meth:`query`, ``counters`` holds the query's costs and ``order``
-    the elimination order it ran.
+    After :meth:`query`, ``counters`` holds the query's costs, ``order`` the
+    elimination order it ran and ``relevant`` the variables, in ascending
+    id order, whose families ``begin`` read.  Until a query prunes it,
+    ``relevant`` is every variable, so ``begin`` called directly sees the
+    whole network.
     """
 
     def __init__(self, net: ContextualBeliefNetwork):
         self.net = net
         self.counters = CostCounters()
         self.order: list[VariableId] = []
+        self.relevant: list[VariableId] = list(range(net.n_vars()))
 
     def query(
         self,
@@ -58,9 +78,14 @@ class Engine:
         obs = obs or Context()
         query = check_query(self.net, query_vars, obs)
         if order is None:
+            # The default order is every relevant variable but the query and
+            # the evidence, so the relevance walk is not repeated.
             self.order = min_size_order(self.net, query, obs)
+            relevant = {*self.order, *query, *obs.vars()}
         else:
-            self.order = check_order(self.net, order, query, obs)
+            relevant = relevant_variables(self.net, query, obs)
+            self.order = check_order(self.net, order, query, obs, relevant)
+        self.relevant = sorted(relevant)
         self.counters = CostCounters()
         self.begin(obs)
         for y in self.order:
@@ -109,6 +134,26 @@ def check_query(
     return query
 
 
+def relevant_variables(
+    net: ContextualBeliefNetwork, query_vars: Sequence[VariableId], obs: Context
+) -> set[VariableId]:
+    """The query and observed variables together with all their ancestors.
+
+    A variable's parents are the other variables of its family's confactors,
+    bodies and tables alike.  Every other variable is barren: the answer
+    does not depend on its family.
+    """
+    scopes = net.scopes
+    relevant = {*query_vars, *obs.vars()}
+    stack = list(relevant)
+    while stack:
+        for v in scopes[stack.pop()]:
+            if v not in relevant:
+                relevant.add(v)
+                stack.append(v)
+    return relevant
+
+
 def min_size_order(
     net: ContextualBeliefNetwork,
     query_vars: Sequence[VariableId],
@@ -116,32 +161,37 @@ def min_size_order(
 ) -> list[VariableId]:
     """Greedy min-size elimination order for a query.
 
-    Repeatedly eliminates the unobserved non-query variable whose elimination
+    Plans only the relevant variables (:func:`relevant_variables`): barren
+    ones are pruned, so the order lists exactly the relevant unobserved
+    non-query variables.  Repeatedly eliminates the one whose elimination
     builds the smallest dense factor: the product of the domain sizes of its
     closed neighbourhood in the elimination graph, whose edges join the
-    variables of each evidence-reduced family scope.  Ties go to the lowest
-    variable id.  The planner works incrementally: eliminating a variable
-    joins its neighbours into a clique and recomputes the cost of those
-    neighbours only, and a lazy heap keyed on ``(cost, id)`` skips entries
-    whose cost has since changed.  A step costs time in its neighbourhood
+    variables of each evidence-reduced relevant family scope.  Ties go to
+    the lowest variable id.  The planner works incrementally: eliminating a
+    variable joins its neighbours into a clique and recomputes the cost of
+    those neighbours only, and a lazy heap keyed on ``(cost, id)`` skips
+    entries whose cost has since changed.  A step costs time in its neighbourhood
     and fill, not in the number of variables.
     """
     obs = obs or Context()
     size = net.catalog.size
     observed = set(obs.vars())
+    relevant = relevant_variables(net, query_vars, obs)
+    # A relevant family's scope holds relevant variables only: its own
+    # variable and that variable's parents.
     adj: list[set[VariableId]] = [set() for _ in range(net.n_vars())]
-    for x in range(net.n_vars()):
-        scope = {v for r in net.families[x] for v in r.variables()} - observed
+    for x in relevant:
+        scope = {v for v in net.scopes[x] if v not in observed}
         for v in scope:
             adj[v] |= scope
-    for v, nbrs in enumerate(adj):
-        nbrs.discard(v)
+    for v in relevant:
+        adj[v].discard(v)
 
     def cost(y: VariableId) -> int:
         return size(y) * math.prod(size(u) for u in adj[y])
 
     excluded = observed | set(query_vars)
-    current = {v: cost(v) for v in range(net.n_vars()) if v not in excluded}
+    current = {v: cost(v) for v in relevant if v not in excluded}
     heap = [(c, v) for v, c in current.items()]
     heapq.heapify(heap)
     order: list[VariableId] = []
@@ -166,9 +216,14 @@ def check_order(
     order: Sequence[VariableId],
     query_vars: Sequence[VariableId],
     obs: Context,
+    relevant: set[VariableId],
 ) -> list[VariableId]:
-    """Validate a user-supplied elimination order and return it as a list: it
-    must name existing variables, each unobserved non-query one exactly once."""
+    """Validate a user-supplied elimination order and return it as a list.
+
+    It must name existing unobserved non-query variables, none twice, and
+    cover every one of them in ``relevant`` (:func:`relevant_variables`).
+    It may also list barren variables: their families are pruned, so each
+    becomes a step that touches nothing, recorded with no created tables."""
     order = list(order)
     unknown = [v for v in order if not 0 <= v < net.n_vars()]
     if unknown:
@@ -181,10 +236,7 @@ def check_order(
             raise ValueError(f"order eliminates query variable {net.catalog.names[v]}")
         if v in oset:
             raise ValueError(f"order eliminates observed variable {net.catalog.names[v]}")
-    required = {
-        v for v in range(net.n_vars()) if v not in qset and v not in oset
-    }
-    missing = required - set(order)
+    missing = relevant - qset - oset - set(order)
     if missing:
         names = [net.catalog.names[v] for v in sorted(missing)]
         raise ValueError(f"order does not cover variables: {names}")

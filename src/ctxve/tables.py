@@ -98,7 +98,10 @@ class DomainCatalog:
     def table(self, vars: Sequence[VariableId], values: Iterable[float]) -> "Table":
         """Build a table over ``vars`` from flat values in layout order."""
         vars = tuple(vars)
-        arr = np.asarray(list(values), dtype=np.float64).reshape(self.shape(vars))
+        # Filled in place, not reshaped from a flat array: a reshaped view
+        # would keep that array alive beside it for the table's lifetime.
+        arr = np.empty(self.shape(vars))
+        arr.reshape(-1)[:] = list(values)
         return Table(vars, arr)
 
     def context(self, assignments: Mapping[str, str]) -> "Context":
@@ -344,13 +347,20 @@ def reorder(table: Table, vars: Sequence[VariableId]) -> Table:
     return Table(vars, np.transpose(table.array, perm))
 
 
+def fold_key(t: Table) -> tuple[int, list[VariableId]]:
+    """The fold order of :func:`multiply_all`: ascending size, ties to the
+    lower sorted scope, so that the order (and the multiplication count)
+    depends on the tables alone, never on the order they are listed in."""
+    return t.size, sorted(t.vars)
+
+
 def multiply_all(
     tables: Sequence[Table], counters=None
 ) -> tuple[Table, list[int]]:
-    """Product of ``tables``, smallest first: a stable sort by ascending size,
+    """Product of ``tables``, smallest first: a sort by :func:`fold_key`,
     then a left fold.  Returns the product (the scalar 1 for no tables) and
     the sizes of the pairwise products it created, in order."""
-    ordered = sorted(tables, key=lambda t: t.size)
+    ordered = sorted(tables, key=fold_key)
     acc = ordered[0] if ordered else Table.scalar(1.0)
     created: list[int] = []
     for t in ordered[1:]:
@@ -447,7 +457,7 @@ def multiply_all_sum_out(
     """
     if not tables:
         raise ValueError("nothing to multiply")
-    *head, last = sorted(tables, key=lambda t: t.size)
+    *head, last = sorted(tables, key=fold_key)
     if not head:
         result = sum_out(last, y, counters)
         return result, [result.size]

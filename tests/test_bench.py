@@ -96,22 +96,40 @@ def test_every_path_rejects_the_same_bad_queries():
 
 def test_every_engine_rejects_the_same_bad_orders():
     # unknown ids (above and below the range), a repeat, an eliminated query
-    # variable and an order that leaves a variable out
+    # variable and an order that leaves a relevant variable out.  x2's
+    # ancestors are x0 and x1; the roots x3 and x4 are barren for it.
     net = generate_random_cbn(GenConfig(n=5, s=2, seed=1))
-    good = min_size_order(net, [0])
+    good = min_size_order(net, [2])
+    assert sorted(good) == [0, 1]
     cases = [
         (good + [99, -3], "unknown order variable ids: \\[99, -3\\]"),
         (good + [good[0]], "duplicates"),
-        (good + [0], "query variable"),
+        (good + [2], "query variable"),
         (good[1:], "does not cover"),
     ]
     for order, pattern in cases:
         for name, cls in ENGINES.items():
             engine = cls(net)
             with pytest.raises(ValueError, match=pattern) as info:
-                engine.query([0], None, order)
+                engine.query([2], None, order)
             assert type(info.value) is ValueError, name
             assert engine.counters.eliminations == [], name
+
+
+def test_orders_may_list_or_omit_barren_variables():
+    # The same network and query: an order that omits only the barren x3
+    # and x4 is accepted, and one that lists them gives the same answer and
+    # costs, its barren steps touching nothing.
+    net = generate_random_cbn(GenConfig(n=5, s=2, seed=1))
+    good = min_size_order(net, [2])
+    for name, cls in ENGINES.items():
+        pruned, full = cls(net), cls(net)
+        answer = pruned.query([2], None, good)
+        assert full.query([2], None, [3, *good, 4]).max_abs_diff(answer) == 0.0, name
+        assert full.counters.multiplications == pruned.counters.multiplications, name
+        steps = {r.variable: r for r in full.counters.eliminations}
+        assert [steps[v].created for v in (3, 4)] == [(), ()], name
+        assert [steps[v].size for v in (3, 4)] == [0, 0], name
 
 
 def test_all_engines_agree_on_regression_networks():
@@ -168,28 +186,41 @@ class TestCampaign:
         # results of pure members; pruning them there changes the hash.  It
         # drops constant groups as the tabular engine drops its scalars
         # (the hash was a98fce8705e243f9 while it multiplied them in).
+        # Barren variables are pruned before planning in every engine, and
+        # equal-sized tables are folded in scope order (the hash was
+        # ecac1153694f8c36 before both).
         nets = [
             (f"b{k}", generate_biased_cbn(GenConfig(n=16, s=12, p=0.2, seed=k)))
             for k in range(8)
         ]
         _, csv = run_campaign(nets, obs_counts=(0, 3, 6), seed=7, replicates=1)
         digest = hashlib.sha256("\n".join(strip_time(csv)).encode()).hexdigest()
-        assert digest.startswith("ecac1153694f8c36"), digest
+        assert digest.startswith("738b7cb66097d830"), digest
+
+    def test_context_only_networks_pass_the_mults_check(self):
+        # Valid context-only networks on which the tree engine multiplied
+        # more than the tabular one before barren variables were pruned: on
+        # c5/x8 its merge order differed from the tabular engine's after
+        # evidence (196 vs 172 mults).
+        nets = [
+            (f"c{k}", generate_biased_cbn(GenConfig(n=12, s=40, p=0.0, seed=k)))
+            for k in range(8)
+        ]
+        run_campaign(nets, obs_counts=(0, 3, 6), seed=7, replicates=1)
 
     @pytest.mark.xfail(
         strict=True,
         raises=RuntimeError,
         reason="tve orders its merges by signature size, not by ve's dense sizes",
     )
-    def test_context_only_networks_pass_the_mults_check(self):
-        # Valid context-only networks on which the tree engine multiplies
-        # more than the tabular one: on c5/x8 its merge order differs from
-        # the tabular engine's after evidence (196 vs 172 mults).
-        nets = [
-            (f"c{k}", generate_biased_cbn(GenConfig(n=12, s=40, p=0.0, seed=k)))
-            for k in range(8)
-        ]
-        run_campaign(nets, obs_counts=(0, 3, 6), seed=7, replicates=1)
+    def test_evidence_narrowed_groups_pass_the_mults_check(self):
+        # Query x6 with x2 and x8 observed: observing x2 drops every member
+        # of x4's family that mentions x3, so x4's group leaves x3's bucket
+        # while x4's dense factor stays in it, and the two engines fold
+        # different buckets (36 vs 34 mults).  All of these families are
+        # relevant, so pruning barren variables cannot mend it.
+        net = generate_random_cbn(GenConfig(n=8, s=4, p=0.2, seed=405))
+        run_campaign([("r405", net)], queries_per_net=2, obs_counts=(0, 2), seed=405, replicates=1)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="unknown engines"):

@@ -248,7 +248,9 @@ class TestGenCompressBench:
 
     def test_bench_reports_failed_rows(self, capsys, tmp_path):
         class Failing(TreeVE):
-            def eliminate(self, y):
+            # begin, not eliminate: a row whose pruned order is empty
+            # never eliminates anything
+            def begin(self, obs=None):
                 raise RuntimeError("boom")
 
         net_path = tmp_path / "bench-net.json"

@@ -45,6 +45,20 @@ def test_dense_expansion_matches_row_table(tree_net):
         assert dense.lookup(assignment) == pytest.approx(p)
 
 
+def test_scopes_and_sizes_need_no_dense_expansion():
+    # Each family's scope is cached once; the dense size of the network is
+    # counted from the scopes, so no family is expanded to count it.
+    net = hvac_network()
+    assert net.total_tabular_size() == sum(
+        int(np.prod(net.catalog.shape(scope))) for scope in net.scopes
+    )
+    assert net._tabular_cache == {}
+    for x, scope in enumerate(net.scopes):
+        assert scope == tuple(sorted({v for r in net.families[x] for v in r.variables()}))
+        assert net.tabular_factor(x).vars == scope
+    assert net.total_tabular_size() == sum(net.tabular_factor(x).size for x in range(net.n_vars()))
+
+
 def test_missing_cover_is_reported(tree_net):
     cat = tree_net.catalog
     e = cat.index("e")

@@ -1,6 +1,8 @@
-"""The default elimination order, and long chains that it makes cheap."""
+"""The default elimination order, the pruning of barren variables before
+planning, and long chains that the order makes cheap."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,27 +16,47 @@ from ctxve import (
     SplitMix64,
     Table,
     ZeroEvidenceError,
+    cve_query,
+    enum_query,
     from_tabular_cpt,
     generate_biased_cbn,
     generate_random_cbn,
     min_size_order,
+    run_campaign,
 )
+from ctxve import orders
+from ctxve.orders import relevant_variables
 
 from conftest import alternating_emissions, binary_hmm
 
 
+def ancestral_set(net, query_vars, obs):
+    """Reference: the query and observed variables and all their ancestors,
+    grown to a fixpoint over parent sets read from each family's confactors."""
+    parents = [
+        {v for r in fam for v in r.variables()} - {x} for x, fam in enumerate(net.families)
+    ]
+    found = set(query_vars) | set(obs.vars())
+    while True:
+        grown = found.union(*(parents[x] for x in found))
+        if grown == found:
+            return found
+        found = grown
+
+
 def rescan_min_size_order(net, query_vars, obs):
-    """Reference: the greedy min-size order by full rescan.  Every step
-    scores every remaining variable by the product of the domain sizes of
-    the union of the scopes holding it, takes the first (lowest id) minimum
-    and merges the scopes it touched."""
+    """Reference: the greedy min-size order over the ancestral set, by full
+    rescan.  Every step scores every remaining variable by the product of
+    the domain sizes of the union of the scopes holding it, takes the first
+    (lowest id) minimum and merges the scopes it touched."""
     cat = net.catalog
+    relevant = ancestral_set(net, query_vars, obs)
     scopes = []
-    for x in range(net.n_vars()):
+    for x in sorted(relevant):
         scope = {v for r in net.families[x] for v in r.variables()} - set(obs.vars())
         if scope:
             scopes.append(scope)
-    remaining = [v for v in range(net.n_vars()) if v not in set(query_vars) and v not in obs]
+    remaining = [v for v in sorted(relevant) if v not in set(query_vars) and v not in obs]
     order = []
     while remaining:
         best = None
@@ -110,17 +132,26 @@ class TestMinSizeOrder:
                 assert min_size_order(net, query, obs) == rescan_min_size_order(net, query, obs)
 
     def test_ties_go_to_the_lowest_id(self):
-        # x2 (6 values) alone, x0 (2) with its child x1 (3): every first step
-        # builds 6 entries, so the order is x0 (cost 6), x1 (3), x2 (6).
-        cat = DomainCatalog([("x0", "ab"), ("x1", "abc"), ("x2", "abcdef"), ("q", "ab")])
+        # x2 (6 values) alone, x0 (2) with its child x1 (3), and x1 and x2
+        # each with an observed child, so that no variable is barren: every
+        # first step builds 6 entries, so the order is x0 (cost 6), x1 (3),
+        # x2 (6).
+        cat = DomainCatalog(
+            [("x0", "ab"), ("x1", "abc"), ("x2", "abcdef"), ("q", "ab"), ("e1", "ab"), ("e2", "ab")]
+        )
         families = [
             from_tabular_cpt(cat, 0, [], Table((0,), np.full(2, 0.5))),
             from_tabular_cpt(cat, 1, [0], Table((0, 1), np.full((2, 3), 1 / 3))),
             from_tabular_cpt(cat, 2, [], Table((2,), np.full(6, 1 / 6))),
             from_tabular_cpt(cat, 3, [], Table((3,), np.full(2, 0.5))),
+            from_tabular_cpt(cat, 4, [1], Table((1, 4), np.full((3, 2), 0.5))),
+            from_tabular_cpt(cat, 5, [2], Table((2, 5), np.full((6, 2), 0.5))),
         ]
         net = ContextualBeliefNetwork(cat, families)
-        assert min_size_order(net, [3]) == rescan_min_size_order(net, [3], Context()) == [0, 1, 2]
+        obs = Context([(4, 0), (5, 1)])
+        assert min_size_order(net, [3], obs) == rescan_min_size_order(net, [3], obs) == [0, 1, 2]
+        # without the evidence all three are barren for q
+        assert min_size_order(net, [3]) == []
 
     def test_long_chain(self):
         net = binary_hmm(200)
@@ -129,6 +160,148 @@ class TestMinSizeOrder:
             assert min_size_order(net, query, evidence) == rescan_min_size_order(
                 net, query, evidence
             )
+
+
+def criterion_6_cases():
+    """Acceptance criterion 6's 200 (network, query, evidence, shuffled full
+    orders) cases, drawn from its seed in its order."""
+    rng = SplitMix64(20240601)
+    for case in range(200):
+        n = 4 + rng.below(7)
+        s = rng.below(7)
+        p = 0.2 if rng.below(2) == 0 else 0.5
+        net = generate_random_cbn(GenConfig(n=n, s=s, p=p, seed=case))
+        query = rng.below(n)
+        k_obs = rng.below(4)
+        observed = []
+        while len(observed) < min(k_obs, n - 1):
+            v = rng.below(n)
+            if v != query and v not in observed:
+                observed.append(v)
+        obs = Context([(v, rng.below(2)) for v in sorted(observed)])
+        free = [v for v in range(n) if v != query and v not in obs]
+        shuffles = []
+        for _ in range(5):
+            order = list(free)
+            for i in range(len(order) - 1, 0, -1):
+                j = rng.below(i + 1)
+                order[i], order[j] = order[j], order[i]
+            shuffles.append(order)
+        yield net, query, obs, shuffles
+
+
+def barren_chain_network() -> ContextualBeliefNetwork:
+    """q and a binary roots, e (observed) their child, and a barren chain
+    b1 -> b2 -> b3 of 4-valued children of q, b3's family of 128 entries."""
+    four = tuple("abcd")
+    cat = DomainCatalog(
+        [("q", "tf"), ("a", "tf"), ("e", "tf"), ("b1", four), ("b2", four), ("b3", four)]
+    )
+    rng = SplitMix64(11)
+
+    def cpt(x, parents):
+        vars = (*parents, x)
+        arr = np.array([0.1 + rng.uniform() for _ in range(math.prod(cat.shape(vars)))])
+        arr = arr.reshape(cat.shape(vars))
+        return from_tabular_cpt(cat, x, parents, Table(vars, arr / arr.sum(axis=-1, keepdims=True)))
+
+    families = [cpt(0, []), cpt(1, []), cpt(2, [0, 1]), cpt(3, [0]), cpt(4, [0, 3]), cpt(5, [0, 3, 4])]
+    return ContextualBeliefNetwork(cat, families)
+
+
+class TestBarrenPruning:
+    """Barren variables are pruned before planning, in every engine."""
+
+    def test_relevant_variables_are_the_ancestral_set(self):
+        rng = SplitMix64(99)
+        for seed in range(12):
+            net = generate_biased_cbn(GenConfig(n=16, s=10, p=0.3, seed=seed))
+            for _ in range(10):
+                query, obs = random_query(net, rng)
+                assert relevant_variables(net, query, obs) == ancestral_set(net, query, obs)
+
+    def test_one_relevance_walk_per_query(self):
+        net = barren_chain_network()
+        obs = Context([(2, 0)])
+        free = [1, 3, 4, 5]
+        for name, cls in ENGINES.items():
+            for order in (None, free):
+                with mock.patch.object(
+                    orders, "relevant_variables", wraps=orders.relevant_variables
+                ) as walk:
+                    cls(net).query([0], obs, order)
+                assert walk.call_count == 1, (name, order)
+
+    def test_context_free_networks_give_every_engine_the_same_mults(self):
+        # The paper's reduction claim: with no contextual structure, the
+        # contextual and tree engines do exactly the tabular engine's work.
+        for generate, n in ((generate_random_cbn, 12), (generate_biased_cbn, 20)):
+            nets = [
+                (f"s0-{seed}", generate(GenConfig(n=n, s=0, p=0.3, seed=seed)))
+                for seed in range(10)
+            ]
+            records, _ = run_campaign(
+                nets, queries_per_net=2, obs_counts=(0, 3, 6), seed=5, replicates=1
+            )
+            mults = {}
+            for rec in records:
+                assert rec.error is None, rec
+                mults.setdefault((rec.network, rec.query, rec.evidence), {})[rec.engine] = rec.mults
+            assert len(mults) == 60
+            for row, by_engine in mults.items():
+                assert by_engine["cve"] == by_engine["tve"] == by_engine["ve"], (row, by_engine)
+
+    def test_default_order_matches_full_orders_and_enum(self):
+        # On criterion 6's networks: the pruned default order answers as a
+        # full order that lists every barren variable does, and as enum.
+        # Listed barren variables are steps that touch nothing, so slotting
+        # them into the default order leaves every counter as it was.
+        pruned_rows = 0
+        for net, query, obs, shuffled in criterion_6_cases():
+            oracle = enum_query(net, [query], obs)
+            default = min_size_order(net, [query], obs)
+            barren = sorted(set(shuffled[0]) - set(default))
+            pruned_rows += bool(barren)
+            slotted = barren[::2] + default + barren[1::2]
+            for name, cls in ENGINES.items():
+                engine = cls(net)
+                answer = engine.query([query], obs)
+                assert oracle.max_abs_diff(answer) < 1e-9, name
+                full = cls(net)
+                assert full.query([query], obs, shuffled[0]).max_abs_diff(oracle) < 1e-9, name
+                again = cls(net)
+                assert again.query([query], obs, slotted).max_abs_diff(answer) == 0.0, name
+                assert again.counters.multiplications == engine.counters.multiplications
+                assert again.counters.max_table_size == engine.counters.max_table_size
+        assert pruned_rows > 100
+
+    def test_barren_chain_is_never_expanded(self):
+        net = barren_chain_network()
+        q, e, b3 = (net.catalog.index(name) for name in ("q", "e", "b3"))
+        obs = Context([(e, 0)])
+        expand = net.tabular_factor
+        with mock.patch.object(net, "tabular_factor", wraps=expand) as spy:
+            engine = ENGINES["ve"](net)
+            posterior = engine.query([q], obs)
+        assert sorted(call.args[0] for call in spy.call_args_list) == [0, 1, 2]
+        assert engine.order == [1] and engine.relevant == [0, 1, 2]
+        assert posterior.max_abs_diff(enum_query(net, [q], obs)) < 1e-12
+        # eliminating a leaves a table over q; eliminating the chain would
+        # have summed b3's 128-entry family
+        assert engine.counters.max_table_size == 2
+        assert expand(b3).size == 128
+
+    @pytest.mark.parametrize("evidence", [{}, {"e": 0}, {"e": 1, "b1": 2}])
+    def test_audit_passes_with_barren_variables(self, evidence):
+        net = barren_chain_network()
+        cat = net.catalog
+        q = cat.index("q")
+        obs = Context(sorted((cat.index(name), val) for name, val in evidence.items()))
+        free = [v for v in range(net.n_vars()) if v != q and v not in obs]
+        oracle = enum_query(net, [q], obs)
+        for order in (None, free, free[::-1]):
+            posterior, _ = cve_query(net, [q], obs, order=order, audit=True)
+            assert posterior.max_abs_diff(oracle) < 1e-12, order
 
 
 class TestLongChain:
