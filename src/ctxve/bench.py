@@ -17,7 +17,7 @@ from .counters import CostCounters
 from .engine_cve import ContextualVE
 from .engine_tve import TreeVE
 from .engine_ve import TabularVE
-from .errors import ZeroEvidenceError
+from .errors import InvariantError, ZeroEvidenceError
 from .network import ContextualBeliefNetwork, joint_table
 from .orders import Engine, check_query, min_size_order
 from .posterior import Posterior, normalize_posterior
@@ -197,13 +197,13 @@ def run_campaign(
                     for j in range(i + 1, len(names)):
                         diff = posteriors[names[i]].max_abs_diff(posteriors[names[j]])
                         if diff > 1e-9:
-                            raise RuntimeError(
+                            raise InvariantError(
                                 f"engines {names[i]} and {names[j]} disagree by "
                                 f"{diff:.3e} on {net_id} query {query_label}"
                             )
                 if "ve" in mults_by_engine and "tve" in mults_by_engine:
                     if mults_by_engine["tve"] > mults_by_engine["ve"]:
-                        raise RuntimeError(
+                        raise InvariantError(
                             f"tree engine multiplied more than the tabular engine "
                             f"on {net_id} query {query_label}"
                         )

@@ -2,9 +2,13 @@
 
 Verbs: ``validate``, ``infer``, ``gen``, ``compress``, ``bench``.
 Exit codes: 0 on success (``--help`` included), 1 on usage errors (bad or
-missing flags, unknown names, malformed or invalid networks), 2 on inference
-errors such as evidence with probability zero.  ``bench`` keeps going past a
-query that fails: its CSV row reads ``error`` and the reason goes to stderr.
+missing flags, unknown names, impossible generator parameters, malformed or
+invalid networks), 2 on inference errors: evidence with probability zero, or a
+violated invariant (:class:`~ctxve.errors.InvariantError`), which includes a
+failed ``bench`` check (engines that disagree, or ``tve`` multiplying more
+than ``ve``).  Either prints one ``inference error:`` line to stderr.
+``bench`` keeps going past a query that fails: its CSV row reads ``error``
+and the reason goes to stderr.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import argparse
 import sys
 
 from .bench import ENGINES, enum_query, run_campaign
-from .errors import CtxveError, ZeroEvidenceError
+from .errors import CtxveError, InvariantError, ZeroEvidenceError
 from .network import load, save
 from .structure import (
     CompressionConfig,
@@ -187,7 +191,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ZeroEvidenceError as exc:
+    except (ZeroEvidenceError, InvariantError) as exc:
         print(f"inference error: {exc}", file=sys.stderr)
         return INFERENCE_ERROR
     except (CtxveError, ValueError, KeyError, OSError) as exc:

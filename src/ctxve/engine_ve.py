@@ -2,10 +2,11 @@
 
 Factors are dense tables; eliminating a variable multiplies the factors that
 involve it and sums the variable out.  The last pairwise product is
-contracted with the sum (:func:`~ctxve.tables.contract`), so that product is
-never built, and the table recorded as created for an elimination is the
-summed result (multiplication counts are unaffected: a pairwise product
-always costs one multiplication per entry of its result, built or not).
+contracted with the sum in one ``np.einsum`` call
+(:func:`~ctxve.tables.contract`), so that product is never built, and the
+table recorded as created for an elimination is the summed result
+(multiplication counts are unaffected: a pairwise product always costs one
+multiplication per entry of its result, built or not).
 """
 
 from __future__ import annotations

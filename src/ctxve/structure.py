@@ -239,7 +239,7 @@ def _generate(cfg: GenConfig, biased: bool) -> ContextualBeliefNetwork:
     while len(leaves) < target:
         attempts += 1
         if attempts > max_attempts:
-            raise RuntimeError("split budget cannot be met for these parameters")
+            raise ValueError("split budget cannot be met for these parameters")
         pick = rng.below(len(leaves))
         body, child = leaves[pick]
         j = rng.below(n - 1) if n > 1 else 0

@@ -20,16 +20,15 @@ IEEE operation meets the same entries, so the values are bitwise identical.
 
 ``multiply_all_sum_out`` is the bucket kernel of all three engines: it
 multiplies a bucket's tables smallest first and hands the last pair to
-``contract``, which sums ``y`` out of their product with batched
-``np.matmul`` and never builds that product.  Large contractions run in
-blocks of at most :data:`BLOCK` entries written into one preallocated
-result.  The counters are computed from shapes, so they equal those of the
-unfused product and sum.
+``contract``, which sums ``y`` out of their product with one ``np.einsum``
+call and never builds that product.  Products above :data:`OPTIMIZE_ABOVE`
+entries go through numpy's batched matmul (``optimize=True``), smaller ones
+through plain einsum.  The counters are computed from shapes, so they equal
+those of the unfused product and sum.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -39,9 +38,9 @@ from .errors import IncompatibleContextsError
 
 VariableId = int
 
-# Most entries one block of contract() holds: its two operand blocks and its
-# result block together.
-BLOCK = 1 << 20
+# Product size above which contract() lets einsum optimize, i.e. hand the
+# pair to numpy's batched matmul; smaller products are cheaper in plain einsum.
+OPTIMIZE_ABOVE = 1 << 13
 
 
 class DomainCatalog:
@@ -96,12 +95,16 @@ class DomainCatalog:
         return tuple(self.size(v) for v in vars)
 
     def table(self, vars: Sequence[VariableId], values: Iterable[float]) -> "Table":
-        """Build a table over ``vars`` from flat values in layout order."""
+        """Build a table over ``vars`` from flat values in layout order; a
+        ``ValueError`` unless there is exactly one value per entry."""
         vars = tuple(vars)
+        values = list(values)
         # Filled in place, not reshaped from a flat array: a reshaped view
         # would keep that array alive beside it for the table's lifetime.
         arr = np.empty(self.shape(vars))
-        arr.reshape(-1)[:] = list(values)
+        if len(values) != arr.size:
+            raise ValueError(f"expected {arr.size} table values, got {len(values)}")
+        arr.reshape(-1)[:] = values
         return Table(vars, arr)
 
     def context(self, assignments: Mapping[str, str]) -> "Context":
@@ -373,16 +376,11 @@ def contract(a: Table, b: Table, y: VariableId, counters=None) -> Table:
     """Sum over ``y`` of the product of ``a`` and ``b``, never building the
     product.
 
-    The variables split into three groups: batch (in both tables, not ``y``),
-    only in ``a`` and only in ``b``.  ``a`` is viewed as (batch, only-a, y)
-    and ``b`` as (batch, y, only-b), and one batched ``np.matmul`` sums over
-    ``y``.  When that is too big to do at once, the leading non-``y``
-    variables of the larger table are fixed one block at a time, so that a
-    block's two operands and its result hold at most :data:`BLOCK` entries
-    together (unless the variables left free already hold more).  Each block
-    is assigned into a transposed view of one preallocated result over
-    ``_union_vars(a, b)`` minus ``y``.  When only one operand has ``y``, it
-    is summed there first.
+    One ``np.einsum`` call over ``_union_vars(a, b)``, each variable labelled
+    by its position there; the result is over that list minus ``y``.  Above
+    :data:`OPTIMIZE_ABOVE` product entries einsum is asked to optimize, which
+    sends the pair to numpy's batched matmul; below it, plain einsum streams
+    the sum of products in C.
 
     The counters are those of the unfused product and sum: one
     multiplication per entry of the product, ``dom - 1`` additions per
@@ -393,55 +391,20 @@ def contract(a: Table, b: Table, y: VariableId, counters=None) -> Table:
         raise ValueError("variable not in table")
     dims = dict(zip(a.vars, a.array.shape))
     dims.update(zip(b.vars, b.array.shape))
+    entries = math.prod(dims.values())
+    label = {v: i for i, v in enumerate(union)}
     out_vars = tuple(v for v in union if v != y)
-    out = np.empty([dims[v] for v in out_vars])
+    out = np.einsum(
+        a.array, [label[v] for v in a.vars],
+        b.array, [label[v] for v in b.vars],
+        [label[v] for v in out_vars],
+        optimize=entries > OPTIMIZE_ABOVE,
+    )
+    result = Table(out_vars, out)
     if counters is not None:
-        counters.multiplications += math.prod(dims.values())
-        counters.additions += (dims[y] - 1) * out.size
-    a_vars, a_arr = a.vars, a.array
-    b_vars, b_arr = b.vars, b.array
-    if y not in b_vars:
-        a_arr = a_arr.sum(axis=a_vars.index(y), keepdims=True)
-        b_vars, b_arr = b_vars + (y,), b_arr[..., None]
-    elif y not in a_vars:
-        b_arr = b_arr.sum(axis=b_vars.index(y), keepdims=True)
-        a_vars, a_arr = a_vars + (y,), a_arr[..., None]
-    larger, other = (a_vars, b_vars) if a.size >= b.size else (b_vars, a_vars)
-    batch = [v for v in larger if v != y and v in other]
-    only_a = [v for v in a_vars if v != y and v not in b_vars]
-    only_b = [v for v in b_vars if v != y and v not in a_vars]
-    a_t = a_arr.transpose([a_vars.index(v) for v in (*batch, *only_a, y)])
-    b_t = b_arr.transpose([b_vars.index(v) for v in (*batch, y, *only_b)])
-    out_t = out.transpose([out_vars.index(v) for v in (*batch, *only_a, *only_b)])
-    # Fix the fewest leading variables that bring a block's two operands
-    # and its result under BLOCK entries together.
-    lead = batch + [v for v in larger if v != y and v not in other]
-    k = 0
-    a_blk, b_blk, out_blk = a_arr.size, b_arr.size, out.size
-    while k < len(lead) and a_blk + b_blk + out_blk > BLOCK:
-        v = lead[k]
-        a_blk //= dims[v] if v in a_vars else 1
-        b_blk //= dims[v] if v in b_vars else 1
-        out_blk //= dims[v]
-        k += 1
-    fixed = lead[:k]
-    n_batch = math.prod(dims[v] for v in batch[k:])
-    n_a = math.prod(dims[v] for v in only_a if v not in fixed)
-    n_b = math.prod(dims[v] for v in only_b if v not in fixed)
-    n_y = a_t.shape[-1]
-    out_axes = (*batch, *only_a, *only_b)
-    block_shape = tuple(dims[v] for v in out_axes if v not in fixed)
-    for idx in itertools.product(*(range(dims[v]) for v in fixed)):
-        ia = ib = io = ()
-        if idx:
-            at = dict(zip(fixed, idx))
-            ia = tuple(at.get(v, slice(None)) for v in (*batch, *only_a))
-            ib = tuple(at.get(v, slice(None)) for v in (*batch, y, *only_b))
-            io = tuple(at.get(v, slice(None)) for v in out_axes)
-        out_t[io] = np.matmul(
-            a_t[ia].reshape(n_batch, n_a, n_y), b_t[ib].reshape(n_batch, n_y, n_b)
-        ).reshape(block_shape)
-    return Table(out_vars, out)
+        counters.multiplications += entries
+        counters.additions += (dims[y] - 1) * result.size
+    return result
 
 
 def multiply_all_sum_out(

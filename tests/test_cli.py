@@ -31,7 +31,8 @@ class TestValidate:
         assert out.strip() == "OK"
 
     def test_broken_network(self, capsys, tree_path, tmp_path):
-        doc = json.load(open(tree_path))
+        with open(tree_path) as fh:
+            doc = json.load(fh)
         del doc["families"][6]["confactors"][3]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -196,6 +197,13 @@ class TestGenCompressBench:
             "-o", str(again))
         assert out_path.read_text() == again.read_text()
 
+    def test_impossible_split_budget_is_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "x.json"
+        code, out, err = run(capsys, "gen", "--n", "1", "--s", "1", "-o", str(out_path))
+        assert code == USAGE_ERROR
+        assert out == "" and err == "error: split budget cannot be met for these parameters\n"
+        assert not out_path.exists()
+
     def test_compress_produces_smaller_valid_network(self, capsys, tmp_path, tree_path):
         # first expand the tree network to dense families
         from ctxve import ContextualBeliefNetwork, from_tabular_cpt
@@ -272,6 +280,22 @@ class TestGenCompressBench:
                 f"failed: {network} query {query} evidence '{evidence}' "
                 "engine tve: RuntimeError: boom"
             )
+
+    def test_failed_bench_check_is_inference_error(self, capsys, tmp_path):
+        class Wasteful(TreeVE):
+            def query(self, *args, **kwargs):
+                posterior = super().query(*args, **kwargs)
+                self.counters.multiplications += 1 << 20
+                return posterior
+
+        net_path = tmp_path / "bench-net.json"
+        run(capsys, "gen", "--n", "7", "--s", "3", "--seed", "5", "-o", str(net_path))
+        with mock.patch.dict(ENGINES, {"tve": Wasteful}):
+            code, out, err = run(capsys, "bench", str(net_path), "--obs-counts", "0")
+        assert code == INFERENCE_ERROR
+        assert out == ""
+        assert err.startswith("inference error: tree engine multiplied more than")
+        assert err.count("\n") == 1
 
     def test_bench_rejects_bad_counts(self, capsys, tmp_path):
         net_path = tmp_path / "bench-net.json"

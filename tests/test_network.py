@@ -217,6 +217,16 @@ class TestRoundTrip:
         with pytest.raises(NetworkFormatError, match="'a'"):
             from_document(doc)
 
+    def test_short_table_is_not_broadcast(self):
+        doc = {
+            "variables": [{"name": "a", "values": ["t", "f"]}],
+            "families": [{"child": "a", "confactors": [{"vars": ["a"], "table": [0.5]}]}],
+        }
+        with pytest.raises(NetworkFormatError, match="expected 2 table values, got 1"):
+            from_document(doc)
+        doc["families"][0]["confactors"][0]["table"] = [0.5, 0.5]
+        assert from_document(doc).families[0][0].table.flat.tolist() == [0.5, 0.5]
+
     def test_parse_error_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"variables": [}', encoding="utf-8")

@@ -254,5 +254,5 @@ class TestGenerators:
             assert net.validate() == []
 
     def test_infeasible_split_budget_raises(self):
-        with pytest.raises(RuntimeError, match="split budget"):
+        with pytest.raises(ValueError, match="split budget"):
             generate_random_cbn(GenConfig(n=1, s=1, p=0.0, seed=0))

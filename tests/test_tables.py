@@ -386,7 +386,9 @@ def test_sum_out_distributes_over_product(data):
 
 # The fused kernel against the unfused product and sum.  A bucket is the
 # domain sizes of its variables and the variable lists of its tables; the
-# eliminated variable is 0 and occurs in at least one table.
+# eliminated variable is 0 and occurs in at least one table.  A threshold of
+# 0 sends every bucket through einsum's batched-matmul path; at the default,
+# the drawn buckets are small enough for plain einsum.
 
 
 @st.composite
@@ -402,21 +404,28 @@ def _buckets(draw):
 @settings(max_examples=300, deadline=None)
 @given(
     bucket=_buckets(),
-    block=st.sampled_from([1, 6, tables.BLOCK]),
+    threshold=st.sampled_from([0, tables.OPTIMIZE_ABOVE]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(bucket=([2, 3, 2], [(1, 0, 2), (2, 1, 0)]), block=1, seed=0)  # all shared
-@example(bucket=([3, 2, 2], [(0, 1), (2, 0)]), block=1, seed=0)  # only y shared
-@example(bucket=([2, 3, 2], [(0, 1), (2,)]), block=1, seed=0)  # disjoint, y one-sided
-@example(bucket=([2, 3], [(1,), (1, 0)]), block=tables.BLOCK, seed=0)  # y in the larger only
-@example(bucket=([3], [(0,), (0,)]), block=1, seed=0)  # scalar result
-@example(bucket=([2, 1, 3], [(0, 1), (1, 2), (2, 0)]), block=6, seed=0)  # three tables
-def test_fused_product_sum_matches_product_then_sum(bucket, block, seed):
+@example(bucket=([2, 3, 2], [(1, 0, 2), (2, 1, 0)]), threshold=0, seed=0)  # all shared
+@example(bucket=([3, 2, 2], [(0, 1), (2, 0)]), threshold=0, seed=0)  # only y shared
+@example(bucket=([2, 3, 2], [(0, 1), (2,)]), threshold=0, seed=0)  # disjoint, y one-sided
+@example(  # y in the larger only
+    bucket=([2, 3], [(1,), (1, 0)]), threshold=tables.OPTIMIZE_ABOVE, seed=0
+)
+@example(bucket=([3], [(0,), (0,)]), threshold=0, seed=0)  # scalar result
+@example(bucket=([2, 1, 3], [(0, 1), (1, 2), (2, 0)]), threshold=0, seed=0)  # three tables
+@example(  # above the default threshold, with batch variables 1 and 2
+    bucket=([4, 8, 8, 8, 8], [(1, 2, 0, 3), (4, 0, 2, 1)]),
+    threshold=tables.OPTIMIZE_ABOVE,
+    seed=0,
+)
+def test_fused_product_sum_matches_product_then_sum(bucket, threshold, seed):
     doms, scopes = bucket
     rng = np.random.default_rng(seed)
     bucket_tables = [Table(s, rng.random([doms[v] for v in s])) for s in scopes]
     fused, unfused = CostCounters(), CostCounters()
-    with mock.patch.object(tables, "BLOCK", block):
+    with mock.patch.object(tables, "OPTIMIZE_ABOVE", threshold):
         got, created = multiply_all_sum_out(bucket_tables, 0, fused)
     prod, prod_created = multiply_all(bucket_tables, unfused)
     want = sum_out(prod, 0, unfused)
