@@ -238,15 +238,29 @@ def tile(
     scope: Sequence[VariableId],
     catalog: DomainCatalog,
     fill: float,
+    evidence: Context = Context(),
 ) -> np.ndarray:
     """Dense array over ``scope`` holding each confactor's table in the
     block where its body holds, and ``fill`` everywhere else.
 
-    Every body and table variable must be in ``scope``; where bodies
+    With ``evidence``, only the evidence's block is built: ``scope`` leaves
+    out the observed variables, confactors whose bodies conflict with the
+    evidence are skipped, and every other table is sliced at it.  Every
+    unobserved body and table variable must be in ``scope``; where bodies
     overlap, the later confactor wins.
     """
     arr = np.full(catalog.shape(scope), fill)
     for r in items:
-        index = tuple(slice(None) if (val := r.body.get(v)) is None else val for v in scope)
-        arr[index] = _broadcast_to(r.table, [v for v in scope if v not in r.body])
+        body = r.body
+        if not compatible(body, evidence):
+            continue
+        index, rest = [], []
+        for v in scope:
+            val = body.get(v)
+            if val is None:
+                index.append(slice(None))
+                rest.append(v)
+            else:
+                index.append(val)
+        arr[tuple(index)] = _broadcast_to(set_table(r.table, evidence), rest)
     return arr

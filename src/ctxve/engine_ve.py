@@ -1,12 +1,20 @@
 """Tabular variable elimination.
 
 Factors are dense tables; eliminating a variable multiplies the factors that
-involve it and sums the variable out.  The last pairwise product is
-contracted with the sum in one ``np.einsum`` call
-(:func:`~ctxve.tables.contract`), so that product is never built, and the
-table recorded as created for an elimination is the summed result
-(multiplication counts are unaffected: a pairwise product always costs one
-multiplication per entry of its result, built or not).
+involve it and sums the variable out.
+
+Each relevant family is made dense under the evidence by one rule
+(:meth:`~ctxve.network.ContextualBeliefNetwork.factor_under`).  A family of
+one confactor with an empty body is its own table.  A family the evidence
+leaves untouched, or one some query already expanded whole, is sliced from
+that whole expansion.  Any other family is tiled in the evidence's block
+only, so it is never expanded whole just to be sliced.
+
+The last pairwise product of a bucket is contracted with the sum in one
+``np.einsum`` call (:func:`~ctxve.tables.contract`), so that product is
+never built, and the table recorded as created for an elimination is the
+summed result (multiplication counts are unaffected: a pairwise product
+always costs one multiplication per entry of its result, built or not).
 """
 
 from __future__ import annotations
@@ -24,7 +32,6 @@ from .tables import (
     multiply_all,
     multiply_all_sum_out,
     product,
-    set_table,
 )
 
 
@@ -61,11 +68,11 @@ class TabularVE(Engine):
         self.factors: list[Table] = []
 
     def begin(self, obs: Optional[Context] = None) -> None:
-        """Expand the relevant families to tables and substitute the evidence."""
+        """Make the relevant families dense under the evidence."""
         obs = obs or Context()
         self.factors = []
         for x in self.relevant:
-            factor = set_table(self.net.tabular_factor(x), obs)
+            factor = self.net.factor_under(x, obs)
             if not cancels(factor):
                 self.factors.append(factor)
 

@@ -40,6 +40,12 @@ from .tables import (
 NORMALIZATION_TOL = 1e-6
 
 
+def _one_piece(fam: Sequence[Confactor]) -> bool:
+    """True iff the family is one confactor with an empty body: its table is
+    the family's whole dense table."""
+    return len(fam) == 1 and not fam[0].body
+
+
 class ParentSkeleton:
     """Mutually exclusive, exhaustive (context, variable-set) pairs for one
     variable; each pair names the predecessors the variable still depends on
@@ -100,17 +106,41 @@ class ContextualBeliefNetwork:
     def tabular_factor(self, x: VariableId) -> Table:
         """Expand the family of ``x`` into one dense conditional table.
 
-        Variables are in ascending id order.  Exactly one family member is
-        applicable per assignment, so the blocks written by the members tile
-        the table.
+        Variables are in ascending id order.  A family of one confactor with
+        an empty body is its own dense table, returned with its axes in that
+        order as a view, never copied.  Any other family is tiled from its
+        members: exactly one is applicable per assignment, so the blocks
+        they write tile the table.  Either way the expansion is cached.
         """
         cached = self._tabular_cache.get(x)
         if cached is not None:
             return cached
         scope = self.scopes[x]
-        result = Table(scope, tile(self.families[x], scope, self.catalog, 0.0))
+        fam = self.families[x]
+        if _one_piece(fam):
+            result = reorder(fam[0].table, scope)
+        else:
+            result = Table(scope, tile(fam, scope, self.catalog, 0.0))
         self._tabular_cache[x] = result
         return result
+
+    def factor_under(self, x: VariableId, obs: Context) -> Table:
+        """The family of ``x`` made dense under the evidence ``obs``: the
+        variables, their order and the entries of
+        ``set_table(self.tabular_factor(x), obs)``.
+
+        A one-piece family, a family whose scope the evidence leaves
+        untouched and a family already expanded whole are sliced from
+        :meth:`tabular_factor`.  Any other family is tiled in the evidence's
+        block only, over its scope minus the observed variables, and nothing
+        is cached: its whole expansion is never built.
+        """
+        fam = self.families[x]
+        scope = self.scopes[x]
+        if x in self._tabular_cache or _one_piece(fam) or obs.isdisjoint(scope):
+            return set_table(self.tabular_factor(x), obs)
+        free = tuple(v for v in scope if v not in obs)
+        return Table(free, tile(fam, free, self.catalog, 0.0, obs))
 
     def validate(self) -> list[str]:
         """All family-invariant violations, as human-readable strings.
@@ -289,5 +319,5 @@ def joint_table(
         raise ValueError(f"state space {space} exceeds cap {cap}")
     acc = Table((), np.ones(()))
     for x in range(net.n_vars()):
-        acc = table_product(acc, set_table(net.tabular_factor(x), obs))
+        acc = table_product(acc, net.factor_under(x, obs))
     return reorder(acc, tuple(sorted(acc.vars)))

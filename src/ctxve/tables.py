@@ -259,8 +259,9 @@ def _broadcast_to(table: Table, out_vars: Sequence[VariableId]) -> np.ndarray:
     if table.vars == tuple(out_vars):
         return table.array
     pos = [out_vars.index(v) for v in table.vars]
-    order = np.argsort(pos) if pos else []
-    arr = np.transpose(table.array, order) if len(pos) > 1 else table.array
+    arr = table.array
+    if len(pos) > 1:
+        arr = np.transpose(arr, sorted(range(len(pos)), key=pos.__getitem__))
     shape = [1] * len(out_vars)
     for p, dim in zip(sorted(pos), arr.shape):
         shape[p] = dim

@@ -13,9 +13,11 @@ from ctxve import (
     Context,
     ContextualBeliefNetwork,
     DomainCatalog,
+    ParentSkeleton,
     SplitMix64,
     Table,
     enum_query,
+    from_skeleton,
     from_tabular_cpt,
 )
 
@@ -206,6 +208,46 @@ def binary_hmm(steps: int, c_prior=None) -> ContextualBeliefNetwork:
 def alternating_emissions(steps: int) -> Context:
     """Evidence 0, 1, 0, 1, ... on the emissions e1, e2, ... of :func:`binary_hmm`."""
     return Context([(2 * t + 1, t % 2) for t in range(steps)])
+
+
+def contextual_mixed_network(seed: int, n: int = 9) -> ContextualBeliefNetwork:
+    """Domains of 2, 3 and 4 values; each variable has up to three earlier
+    parents and may split on one of them, keeping a random subset of the
+    others in each context's table."""
+    rng = SplitMix64(seed)
+    sizes = [2 + rng.below(3) for _ in range(n)]
+    cat = DomainCatalog([(f"x{i}", tuple(f"k{j}" for j in range(s))) for i, s in enumerate(sizes)])
+
+    def cpt(vars):
+        arr = np.array([0.05 + rng.uniform() for _ in range(int(np.prod(cat.shape(vars))))])
+        arr = arr.reshape(cat.shape(vars))
+        return Table(vars, arr / arr.sum(axis=len(vars) - 1, keepdims=True))
+
+    families = []
+    for x in range(n):
+        parents = sorted({rng.below(x) for _ in range(rng.below(4))}) if x else []
+        if parents and rng.below(3):
+            c = parents[rng.below(len(parents))]
+            others = [v for v in parents if v != c]
+            pairs = [
+                (Context([(c, val)]), [v for v in others if rng.below(2)])
+                for val in range(sizes[c])
+            ]
+        else:
+            pairs = [(Context(), parents)]
+        skeleton = ParentSkeleton(x, pairs)
+        families.append(from_skeleton(cat, skeleton, [cpt((*vs, x)) for _, vs in skeleton.pairs]))
+    return ContextualBeliefNetwork(cat, families)
+
+
+def random_evidence(net, rng, query):
+    """Each variable but ``query`` observed with probability 1/4, at a
+    random value."""
+    return Context(
+        (v, rng.below(net.catalog.size(v)))
+        for v in range(net.n_vars())
+        if v != query and rng.below(4) == 0
+    )
 
 
 def brute_posterior(net: ContextualBeliefNetwork, query, obs=None) -> np.ndarray:

@@ -32,7 +32,15 @@ from ctxve.engine_tve import TreeVE
 from ctxve.engine_ve import TabularVE
 from ctxve.posterior import cancels
 
-from conftest import T, brute_posterior, ctx, find_confactor, table
+from conftest import (
+    T,
+    brute_posterior,
+    contextual_mixed_network,
+    ctx,
+    find_confactor,
+    random_evidence,
+    table,
+)
 
 
 class TestTveMultiply:
@@ -215,44 +223,6 @@ class EagerTreeVE(TreeVE):
                 cancels(r.table)
         self.groups = rest
         self.counters.record_elimination(y, [r.size for r in members], result.total_size())
-
-
-def contextual_mixed_network(seed: int, n: int = 9) -> ContextualBeliefNetwork:
-    """Domains of 2, 3 and 4 values; each variable has up to three earlier
-    parents and may split on one of them, keeping a random subset of the
-    others in each context's table."""
-    rng = SplitMix64(seed)
-    sizes = [2 + rng.below(3) for _ in range(n)]
-    cat = DomainCatalog([(f"x{i}", tuple(f"k{j}" for j in range(s))) for i, s in enumerate(sizes)])
-
-    def cpt(vars):
-        arr = np.array([0.05 + rng.uniform() for _ in range(int(np.prod(cat.shape(vars))))])
-        arr = arr.reshape(cat.shape(vars))
-        return Table(vars, arr / arr.sum(axis=len(vars) - 1, keepdims=True))
-
-    families = []
-    for x in range(n):
-        parents = sorted({rng.below(x) for _ in range(rng.below(4))}) if x else []
-        if parents and rng.below(3):
-            c = parents[rng.below(len(parents))]
-            others = [v for v in parents if v != c]
-            pairs = [
-                (Context([(c, val)]), [v for v in others if rng.below(2)])
-                for val in range(sizes[c])
-            ]
-        else:
-            pairs = [(Context(), parents)]
-        skeleton = ParentSkeleton(x, pairs)
-        families.append(from_skeleton(cat, skeleton, [cpt((*vs, x)) for _, vs in skeleton.pairs]))
-    return ContextualBeliefNetwork(cat, families)
-
-
-def random_evidence(net, rng, query):
-    return Context(
-        (v, rng.below(net.catalog.size(v)))
-        for v in range(net.n_vars())
-        if v != query and rng.below(4) == 0
-    )
 
 
 class TestLazyLastProduct:

@@ -1,23 +1,34 @@
 """Tabular elimination engine and multiplication-order policies."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ctxve import (
+    Confactor,
     Context,
+    ContextualBeliefNetwork,
     DomainCatalog,
     GenConfig,
+    ParentSkeleton,
     SplitMix64,
     Table,
     ZeroEvidenceError,
+    enum_query,
+    from_skeleton,
+    from_tabular_cpt,
+    generate_biased_cbn,
     generate_random_cbn,
     multiply_factors,
+    set_table,
     ve_query,
 )
 from ctxve.engine_ve import TabularVE
+from ctxve.orders import relevant_variables
 from ctxve.posterior import cancels
 
-from conftest import brute_posterior, ctx
+from conftest import brute_posterior, contextual_mixed_network, ctx, random_evidence
 
 
 def chain_factors():
@@ -181,3 +192,160 @@ class TestInstrumentation:
             sub_order = [v for v in order if v not in obs]
             _, counters = ve_query(tree_net, [e], obs, order=sub_order)
             assert counters.max_table_size <= bare.max_table_size
+
+
+class ExpandThenSliceVE(TabularVE):
+    """Reference: every relevant family expanded whole, then sliced at the
+    evidence, as ``begin`` did before it tiled the evidence's block."""
+
+    def begin(self, obs=None):
+        obs = obs or Context()
+        self.factors = []
+        for x in self.relevant:
+            factor = set_table(self.net.tabular_factor(x), obs)
+            if not cancels(factor):
+                self.factors.append(factor)
+
+
+def twin(net):
+    """The same families in a network with its own, empty expansion cache."""
+    return ContextualBeliefNetwork(net.catalog, net.families)
+
+
+def assert_same_factor(got, want):
+    assert got.vars == want.vars
+    assert got.array.shape == want.array.shape
+    assert np.ascontiguousarray(got.array).tobytes() == np.ascontiguousarray(want.array).tobytes()
+
+
+def switch_network():
+    """a and b binary roots; x's family switches on a: a=0 -> T(x) and
+    a=1 -> T(b, x)."""
+    cat = DomainCatalog([(name, ("0", "1")) for name in ("a", "b", "x")])
+    a, b, x = range(3)
+    families = [
+        from_tabular_cpt(cat, a, [], Table((a,), np.array([0.3, 0.7]))),
+        from_tabular_cpt(cat, b, [], Table((b,), np.array([0.6, 0.4]))),
+        [
+            Confactor(Context([(a, 0)]), Table((x,), np.array([0.2, 0.8]))),
+            Confactor(Context([(a, 1)]), Table((b, x), np.array([[0.9, 0.1], [0.5, 0.5]]))),
+        ],
+    ]
+    return ContextualBeliefNetwork(cat, families)
+
+
+def wide_family_network():
+    """Binary p0..p20, x and e.  x's family switches on p0: p0=0 -> T(p1..p10,
+    x) and p0=1 -> T(p11..p20, x), 2^11 entries each, but its dense table
+    spans all 22 variables: 2^22 entries, 32 MiB.  e is x's child."""
+    names = [*(f"p{i}" for i in range(21)), "x", "e"]
+    cat = DomainCatalog([(name, ("0", "1")) for name in names])
+    rng = SplitMix64(3)
+    x, e = cat.index("x"), cat.index("e")
+
+    def cpt(vars):
+        arr = np.array([0.05 + rng.uniform() for _ in range(2 ** len(vars))])
+        arr = arr.reshape((2,) * len(vars))
+        return Table(vars, arr / arr.sum(axis=-1, keepdims=True))
+
+    families = [from_tabular_cpt(cat, p, [], cpt((p,))) for p in range(21)]
+    skeleton = ParentSkeleton(
+        x, [(Context([(0, 0)]), list(range(1, 11))), (Context([(0, 1)]), list(range(11, 21)))]
+    )
+    families.append(from_skeleton(cat, skeleton, [cpt((*vs, x)) for _, vs in skeleton.pairs]))
+    families.append(from_tabular_cpt(cat, e, [x], cpt((x, e))))
+    return ContextualBeliefNetwork(cat, families)
+
+
+class TestEvidenceBlock:
+    """``begin`` makes each family dense under the evidence without
+    expanding it whole: the same factors, counters and answers as slicing
+    the whole expansion."""
+
+    def networks(self):
+        rng = SplitMix64(20240601)
+        for seed in range(12):
+            n, s = 4 + rng.below(7), rng.below(7)
+            p = 0.2 if rng.below(2) == 0 else 0.5
+            yield generate_random_cbn(GenConfig(n=n, s=s, p=p, seed=seed))
+            yield generate_biased_cbn(GenConfig(n=10, s=8, p=0.3, seed=seed))
+            yield generate_random_cbn(GenConfig(n=10, s=6, p=0.0, seed=seed))
+            yield generate_biased_cbn(GenConfig(n=10, s=8, p=0.0, seed=seed))
+            yield contextual_mixed_network(seed)
+
+    def test_factors_counters_and_answers_match_slicing_the_whole_expansion(self):
+        rng = SplitMix64(77)
+        routes = {"block": 0, "cached": 0}
+        for net in self.networks():
+            reference = twin(net)
+            for _ in range(4):
+                query = rng.below(net.n_vars())
+                obs = random_evidence(net, rng, query)
+                engine, eager = TabularVE(net), ExpandThenSliceVE(reference)
+                got = engine.query([query], obs)
+                expected = eager.query([query], obs)
+                assert engine.counters == eager.counters
+                assert got.max_abs_diff(expected) < 1e-12
+                for x in relevant_variables(net, [query], obs):
+                    assert_same_factor(
+                        net.factor_under(x, obs), set_table(reference.tabular_factor(x), obs)
+                    )
+                    fam = net.families[x]
+                    if not obs.isdisjoint(net.scopes[x]) and (len(fam) > 1 or fam[0].body):
+                        routes["cached" if x in net._tabular_cache else "block"] += 1
+        assert routes["block"] > 100 and routes["cached"] > 10
+
+    def test_observed_variable_only_in_bodies(self):
+        net = switch_network()
+        a, b, x = range(3)
+        for val in (0, 1):
+            obs = Context([(a, val)])
+            got = net.factor_under(x, obs)
+            assert got.vars == (b, x)
+            assert_same_factor(got, set_table(twin(net).tabular_factor(x), obs))
+        assert net._tabular_cache == {}
+
+    def test_constant_over_another_variable_is_kept(self):
+        # a=0 leaves x's piece T(x); observing x too makes it a constant,
+        # but the factor still spans b and must not cancel.
+        net = switch_network()
+        a, b, x = range(3)
+        obs = Context([(a, 0), (x, 1)])
+        engine = TabularVE(net)
+        engine.begin(obs)
+        # a's prior cancels; b's prior and x's factor are left, in that order
+        assert [f.vars for f in engine.factors] == [(b,), (b,)]
+        factor = engine.factors[-1]
+        np.testing.assert_array_equal(factor.array, [0.8, 0.8])
+        assert_same_factor(factor, set_table(twin(net).tabular_factor(x), obs))
+        posterior = TabularVE(net).query([b], obs)
+        assert posterior.max_abs_diff(enum_query(net, [b], obs)) < 1e-12
+
+    def test_begin_tiles_only_the_evidence_block(self):
+        net = wide_family_network()
+        x = net.catalog.index("x")
+        whole = 8 * (1 << 22)
+        obs = Context([(0, 1), (15, 0)])
+        engine = TabularVE(net)
+        tracemalloc.start()
+        try:
+            engine.begin(obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole / 2
+        assert x not in net._tabular_cache
+        (factor,) = [f for f in engine.factors if len(f.vars) > 2]
+        assert factor.size == 1 << 20
+        assert_same_factor(factor, set_table(twin(net).tabular_factor(x), obs))
+
+    def test_untouched_family_is_expanded_whole(self):
+        net = wide_family_network()
+        reference = twin(net)
+        x, e = net.catalog.index("x"), net.catalog.index("e")
+        for obs in (Context([(e, 1)]), Context([(0, 1), (15, 0), (e, 1)])):
+            engine, eager = TabularVE(net), ExpandThenSliceVE(reference)
+            got, expected = engine.query([5], obs), eager.query([5], obs)
+            assert x in net._tabular_cache and net._tabular_cache[x].size == 1 << 22
+            assert engine.counters == eager.counters
+            assert got.max_abs_diff(expected) < 1e-12

@@ -59,6 +59,22 @@ def test_scopes_and_sizes_need_no_dense_expansion():
     assert net.total_tabular_size() == sum(net.tabular_factor(x).size for x in range(net.n_vars()))
 
 
+def test_one_piece_family_is_its_own_table():
+    # x's table lists its variables as (x, b); the dense table puts them in
+    # ascending id order as a view of that table, never a copy.
+    cat = tree_catalog()
+    b, x = cat.index("b"), cat.index("e")
+    own = table(cat, ["e", "b"], [0.55, 0.3, 0.45, 0.7])
+    families = [list(f) for f in tree_network().families]
+    families[x] = from_tabular_cpt(cat, x, [b], own)
+    net = ContextualBeliefNetwork(cat, families)
+    dense = net.tabular_factor(x)
+    assert dense.vars == net.scopes[x] == (b, x)
+    assert np.shares_memory(dense.array, net.families[x][0].table.array)
+    np.testing.assert_array_equal(dense.array, own.array.T)
+    assert net.tabular_factor(x) is dense
+
+
 def test_missing_cover_is_reported(tree_net):
     cat = tree_net.catalog
     e = cat.index("e")

@@ -9,6 +9,7 @@ import pytest
 
 from ctxve import (
     ENGINES,
+    Confactor,
     Context,
     ContextualBeliefNetwork,
     DomainCatalog,
@@ -24,7 +25,7 @@ from ctxve import (
     min_size_order,
     run_campaign,
 )
-from ctxve import orders
+from ctxve import network, orders
 from ctxve.orders import relevant_variables
 
 from conftest import alternating_emissions, binary_hmm
@@ -276,20 +277,34 @@ class TestBarrenPruning:
         assert pruned_rows > 100
 
     def test_barren_chain_is_never_expanded(self):
-        net = barren_chain_network()
-        q, e, b3 = (net.catalog.index(name) for name in ("q", "e", "b3"))
+        # ve makes a family dense by one of two routes: expanded whole by
+        # tabular_factor, or only the evidence's block tiled by network.tile.
+        # Neither ever reaches a barren family.  In the second network e's
+        # family switches on a, so observing e takes the block route.
+        plain = barren_chain_network()
+        q, a, e, b3 = (plain.catalog.index(name) for name in ("q", "a", "e", "b3"))
+        families = list(plain.families)
+        families[e] = [
+            Confactor(Context([(a, 0)]), Table((q, e), np.array([[0.3, 0.7], [0.6, 0.4]]))),
+            Confactor(Context([(a, 1)]), Table((e,), np.array([0.9, 0.1]))),
+        ]
+        switched = ContextualBeliefNetwork(plain.catalog, families)
         obs = Context([(e, 0)])
-        expand = net.tabular_factor
-        with mock.patch.object(net, "tabular_factor", wraps=expand) as spy:
-            engine = ENGINES["ve"](net)
-            posterior = engine.query([q], obs)
-        assert sorted(call.args[0] for call in spy.call_args_list) == [0, 1, 2]
-        assert engine.order == [1] and engine.relevant == [0, 1, 2]
-        assert posterior.max_abs_diff(enum_query(net, [q], obs)) < 1e-12
-        # eliminating a leaves a table over q; eliminating the chain would
-        # have summed b3's 128-entry family
-        assert engine.counters.max_table_size == 2
-        assert expand(b3).size == 128
+        for net, tiled in ((plain, False), (switched, True)):
+            expand = net.tabular_factor
+            with mock.patch.object(net, "tabular_factor", wraps=expand) as whole, \
+                    mock.patch.object(network, "tile", wraps=network.tile) as block:
+                engine = ENGINES["ve"](net)
+                posterior = engine.query([q], obs)
+            wholes = sorted(call.args[0] for call in whole.call_args_list)
+            blocks = sorted(net.families.index(call.args[0]) for call in block.call_args_list)
+            assert (wholes, blocks) == (([0, 1], [e]) if tiled else ([0, 1, 2], []))
+            assert engine.order == [1] and engine.relevant == [0, 1, 2]
+            assert posterior.max_abs_diff(enum_query(net, [q], obs)) < 1e-12
+            # eliminating a leaves a table over q; eliminating the chain would
+            # have summed b3's 128-entry family
+            assert engine.counters.max_table_size == 2
+            assert expand(b3).size == 128
 
     @pytest.mark.parametrize("evidence", [{}, {"e": 0}, {"e": 1, "b1": 2}])
     def test_audit_passes_with_barren_variables(self, evidence):
