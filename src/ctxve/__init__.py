@@ -53,7 +53,6 @@ from .structure import (
     compress_network,
     generate_biased_cbn,
     generate_random_cbn,
-    redundant_variables,
 )
 from .tables import (
     Context,
@@ -113,7 +112,6 @@ __all__ = [
     "min_size_order",
     "multiply_factors",
     "product",
-    "redundant_variables",
     "residual",
     "run_campaign",
     "save",

@@ -19,7 +19,7 @@ from .engine_tve import TreeVE
 from .engine_ve import TabularVE
 from .errors import InvariantError, ZeroEvidenceError
 from .network import ContextualBeliefNetwork, joint_table
-from .orders import Engine, check_query, min_size_order
+from .orders import Engine, check_query
 from .posterior import Posterior, normalize_posterior
 from .rng import SplitMix64
 from .tables import Context, VariableId, sum_out
@@ -140,7 +140,6 @@ def run_campaign(
     for net_id, net in nets:
         rows = sample_queries(net, rng, queries_per_net, obs_counts)
         for query, obs in rows:
-            order = min_size_order(net, [query], obs)
             query_label = net.catalog.names[query]
             evidence_label = ";".join(
                 f"{net.catalog.names[v]}={net.catalog.domains[v][val]}"
@@ -157,7 +156,7 @@ def run_campaign(
                     for _ in range(replicates):
                         engine = ENGINES[name](net)
                         start = time.perf_counter()
-                        posterior = engine.query([query], obs, list(order))
+                        posterior = engine.query([query], obs)
                         elapsed = (time.perf_counter() - start) * 1000.0
                         best_ms = min(best_ms, elapsed)
                 except ZeroEvidenceError as exc:

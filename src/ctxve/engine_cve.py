@@ -47,7 +47,7 @@ from .counters import CostCounters
 from .errors import InvariantError, ZeroEvidenceError
 from .network import ContextualBeliefNetwork, joint_table
 from .orders import Engine
-from .posterior import Posterior, cancels, extract_posterior
+from .posterior import cancels, extract_posterior
 from .tables import (
     Context,
     DomainCatalog,
@@ -181,26 +181,20 @@ class ContextualVE(Engine):
         super().__init__(net)
         self.audit = audit
         self.base: list[Confactor] = []
-        self._obs = Context()
         self._eliminated: list[VariableId] = []
         self._reference: Optional[Table] = None
-
-    def confactors_for(self, x: VariableId) -> list[Confactor]:
-        return [r for r in self.base if x in r.for_vars]
 
     # -- elimination steps --------------------------------------------------
 
     def begin(self, obs: Optional[Context] = None) -> None:
-        self._obs = obs or Context()
+        obs = obs or Context()
         self._eliminated = []
         families = self.net.families
-        self.base = incorporate_evidence(
-            [r for x in self.relevant for r in families[x]], self._obs
-        )
+        self.base = incorporate_evidence([r for x in self.relevant for r in families[x]], obs)
         if self.audit:
             # The joint of the whole network, with the pruned (barren)
             # variables summed out: their families sum to ones.
-            reference = joint_table(self.net, self._obs, cap=AUDIT_CAP)
+            reference = joint_table(self.net, obs, cap=AUDIT_CAP)
             relevant = set(self.relevant)
             for v in reference.vars:
                 if v not in relevant:
@@ -239,7 +233,7 @@ class ContextualVE(Engine):
         if self.audit:
             self._check_invariants()
 
-    def finish(self, query_vars: Sequence[VariableId]) -> Table:
+    def finish(self) -> Table:
         return extract_posterior(self.base, self.net.catalog, self.counters)
 
     # -- absorption ---------------------------------------------------------
@@ -319,25 +313,19 @@ class ContextualVE(Engine):
         ) if remaining else marginal.array
         total_prod = prod_arr.sum()
         total_ref = ref.sum()
-        if total_prod > 0 and total_ref > 0:
+        if (total_prod > 0) != (total_ref > 0):
+            raise InvariantError("confactor products and the joint disagree on zero evidence")
+        if total_prod > 0:
             scale = total_ref / total_prod
             if not np.allclose(prod_arr * scale, ref, atol=1e-9, rtol=0.0):
                 raise InvariantError("confactor products diverge from the joint")
         # Each tracked family must stay mutually exclusive and covering.
         for x in remaining:
-            faults = partition_faults(catalog, [r.body for r in self.confactors_for(x)])
+            faults = partition_faults(catalog, [r.body for r in self.base if x in r.for_vars])
             if faults:
                 raise InvariantError(
                     f"tracked confactors for {catalog.names[x]}: " + "; ".join(faults)
                 )
 
 
-def cve_query(
-    net: ContextualBeliefNetwork,
-    query_vars: Sequence[VariableId],
-    obs: Optional[Context] = None,
-    order: Optional[Sequence[VariableId]] = None,
-    audit: bool = False,
-) -> tuple[Posterior, CostCounters]:
-    engine = ContextualVE(net, audit=audit)
-    return engine.query(query_vars, obs, order), engine.counters
+cve_query = ContextualVE.answer

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .counters import CostCounters
 from .network import ContextualBeliefNetwork
 from .orders import Engine
-from .posterior import Posterior, cancels
+from .posterior import cancels
 from .tables import (
     Context,
     Table,
@@ -90,16 +89,9 @@ class TabularVE(Engine):
         self.factors = rest
         self.counters.record_elimination(y, created, sum(created))
 
-    def finish(self, query_vars: Sequence[VariableId]) -> Table:
+    def finish(self) -> Table:
         acc, _ = multiply_all(self.factors, self.counters)
         return acc
 
 
-def ve_query(
-    net: ContextualBeliefNetwork,
-    query_vars: Sequence[VariableId],
-    obs: Optional[Context] = None,
-    order: Optional[Sequence[VariableId]] = None,
-) -> tuple[Posterior, CostCounters]:
-    engine = TabularVE(net)
-    return engine.query(query_vars, obs, order), engine.counters
+ve_query = TabularVE.answer

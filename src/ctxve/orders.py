@@ -3,8 +3,8 @@
 :class:`Engine` holds the only ``query()``: it validates the query, finds the
 relevant variables, picks or checks the elimination order, then runs the
 subclass's per-variable step: ``begin(obs)`` substitutes the evidence into
-the relevant families, ``eliminate(y)`` removes one variable,
-``finish(query_vars)`` multiplies what is left into one unnormalized table.
+the relevant families, ``eliminate(y)`` removes one variable, ``finish()``
+multiplies what is left into one unnormalized table.
 ``query()`` then checks that this table ranges over exactly the query
 variables (else :class:`~ctxve.errors.InvariantError`) and normalizes it:
 that answer step is the same for every engine.
@@ -69,6 +69,18 @@ class Engine:
         self.order: list[VariableId] = []
         self.relevant: list[VariableId] = list(range(net.n_vars()))
 
+    @classmethod
+    def answer(
+        cls,
+        net: ContextualBeliefNetwork,
+        query_vars: Sequence[VariableId],
+        obs: Optional[Context] = None,
+        order: Optional[Sequence[VariableId]] = None,
+    ) -> tuple[Posterior, CostCounters]:
+        """Answer one query on a fresh engine: the posterior and its costs."""
+        engine = cls(net)
+        return engine.query(query_vars, obs, order), engine.counters
+
     def query(
         self,
         query_vars: Sequence[VariableId],
@@ -90,7 +102,7 @@ class Engine:
         self.begin(obs)
         for y in self.order:
             self.eliminate(y)
-        table = self.finish(query)
+        table = self.finish()
         if set(table.vars) != set(query):
             raise InvariantError(
                 f"answer is over {sorted(table.vars)}, not the query {sorted(query)}"

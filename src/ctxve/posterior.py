@@ -1,11 +1,11 @@
 """Posterior distributions and shared answer-extraction machinery.
 
-Each engine's ``finish`` builds one unnormalized table over the query;
+Each engine's ``finish()`` builds one unnormalized table over the query;
 :meth:`~ctxve.orders.Engine.query` checks its variables and hands it to
 :func:`normalize_posterior`, which ``enum_query`` also uses.  Confactors
-become dense tables here through :func:`~ctxve.confactor.tile`: one
-confactor over a ones background (:func:`expand_confactor`, multiplied out
-by :func:`extract_posterior`), or a mutually exclusive set over zeros
+become dense tables here through :func:`~ctxve.confactor.tile`: each
+confactor over a ones background, multiplied out by
+:func:`extract_posterior`, or a mutually exclusive set over zeros
 (:func:`tile_confactors`).  :func:`cancels` is the one rule for the
 constants of proportionality that every answer path drops.
 """
@@ -79,18 +79,6 @@ def normalize_posterior(
     return Posterior(ordered.vars, Table(ordered.vars, ordered.array / total), catalog)
 
 
-def expand_confactor(r: Confactor, catalog: DomainCatalog) -> Table:
-    """Table over the confactor's own variables, filled with 1 outside the
-    body region.
-
-    Multiplying these expansions reproduces, entry by entry, the product of
-    the values of the applicable confactors: where a body does not hold, the
-    confactor contributes a neutral 1.
-    """
-    scope = tuple(sorted(r.variables()))
-    return Table(scope, tile([r], scope, catalog, 1.0))
-
-
 def tile_confactors(
     items: Sequence[Confactor], vars: Iterable[VariableId], catalog: DomainCatalog
 ) -> Table:
@@ -106,11 +94,15 @@ def extract_posterior(
     """Multiply the remaining confactors into one unnormalized table over
     the variables they mention.
 
-    Confactors with no variables are constants and are dropped
-    (:func:`cancels`).
+    Each confactor is tiled over its own variables with 1 outside its body,
+    so the product reproduces, entry by entry, the product of the applicable
+    confactors' values.  Confactors with no variables are constants and are
+    dropped (:func:`cancels`).
     """
-    expansions = [
-        expand_confactor(r, catalog) for r in items if r.body or not cancels(r.table)
-    ]
+    expansions = []
+    for r in items:
+        if r.body or not cancels(r.table):
+            scope = tuple(sorted(r.variables()))
+            expansions.append(Table(scope, tile([r], scope, catalog, 1.0)))
     acc, _ = multiply_all(expansions, counters)
     return acc

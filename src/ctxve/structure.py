@@ -59,27 +59,6 @@ class GenConfig:
             raise ValueError("p must be in [0, 1]")
 
 
-def redundant_variables(
-    table: Table, child: VariableId, cfg: Optional[CompressionConfig] = None
-) -> set[VariableId]:
-    """Parents whose value never moves an entry by ``threshold`` or more.
-
-    A parent is redundant when, for every fixed assignment of the other
-    parents and every child value, all entries along its axis differ by
-    strictly less than the threshold.
-    """
-    cfg = cfg or CompressionConfig()
-    out = set()
-    for v in table.vars:
-        if v == child:
-            continue
-        axis = table.vars.index(v)
-        spread = table.array.max(axis=axis) - table.array.min(axis=axis)
-        if float(spread.max(initial=0.0)) < cfg.threshold:
-            out.add(v)
-    return out
-
-
 def _collapse_redundant(
     table: Table, child: VariableId, cfg: CompressionConfig
 ) -> Table:

@@ -12,6 +12,7 @@ from ctxve import (
     DomainCatalog,
     ENGINES,
     GenConfig,
+    SplitMix64,
     enum_query,
     generate_biased_cbn,
     min_size_order,
@@ -19,7 +20,7 @@ from ctxve import (
     run_campaign,
     cve_query,
 )
-from ctxve.bench import CSV_HEADER
+from ctxve.bench import CSV_HEADER, sample_queries
 
 from conftest import answer_paths, brute_posterior, ctx
 
@@ -196,6 +197,19 @@ class TestCampaign:
         _, csv = run_campaign(nets, obs_counts=(0, 3, 6), seed=7, replicates=1)
         digest = hashlib.sha256("\n".join(strip_time(csv)).encode()).hexdigest()
         assert digest.startswith("738b7cb66097d830"), digest
+
+    def test_campaign_engines_plan_the_min_size_order(self):
+        # run_campaign leaves the order to each engine; every engine must
+        # then run the one greedy min-size order on the campaign's rows.
+        rng = SplitMix64(7)
+        for k in range(4):
+            net = generate_biased_cbn(GenConfig(n=16, s=12, p=0.2, seed=k))
+            for query, obs in sample_queries(net, rng, 1, (0, 3, 6)):
+                want = min_size_order(net, [query], obs)
+                for name, cls in ENGINES.items():
+                    engine = cls(net)
+                    engine.query([query], obs)
+                    assert engine.order == want, (k, query, name)
 
     def test_context_only_networks_pass_the_mults_check(self):
         # Valid context-only networks on which the tree engine multiplied

@@ -192,7 +192,7 @@ class TestAbsorb:
     def test_completeness_is_preserved(self, tree_net):
         cat = tree_net.catalog
         engine = eliminated(tree_net, "b")
-        out = engine.confactors_for(cat.index("e"))
+        out = [r for r in engine.base if cat.index("e") in r.for_vars]
         for r1, r2 in itertools.combinations(out, 2):
             assert not compatible(r1.body, r2.body)
         # counting argument: disjoint bodies must tile the mentioned space
@@ -205,6 +205,24 @@ class TestAbsorb:
             for r in out
         )
         assert covered == space
+
+
+class TestAudit:
+    def test_zeroed_working_set_fails_the_audit(self, tree_net):
+        engine = eliminated(tree_net, "b")
+        engine.base = [
+            Confactor(r.body, Table(r.table.vars, 0 * r.table.array), r.for_vars, r.pure_for)
+            for r in engine.base
+        ]
+        with pytest.raises(InvariantError, match="zero"):
+            engine._check_invariants()
+
+    def test_zeroed_reference_fails_the_audit(self, tree_net):
+        engine = eliminated(tree_net, "b")
+        ref = engine._reference
+        engine._reference = Table(ref.vars, 0 * ref.array)
+        with pytest.raises(InvariantError, match="zero"):
+            engine._check_invariants()
 
 
 class TestSumOutOps:
@@ -408,7 +426,7 @@ class TestQueryEquivalence:
     def test_audit_mode_passes_on_tree_network(self, tree_net):
         cat = tree_net.catalog
         e = cat.index("e")
-        posterior, _ = cve_query(tree_net, [e], audit=True)
+        posterior = ContextualVE(tree_net, audit=True).query([e])
         np.testing.assert_allclose(
             posterior.probabilities, brute_posterior(tree_net, [e]), atol=1e-9
         )
@@ -443,7 +461,7 @@ class TestQueryEquivalence:
             others = [v for v in range(7) if v != query]
             obs_vars = sorted({others[rng.below(len(others))] for _ in range(2)})
             obs = Context([(v, rng.below(2)) for v in obs_vars])
-            posterior, _ = cve_query(net, [query], obs, audit=True)
+            posterior = ContextualVE(net, audit=True).query([query], obs)
             want = brute_posterior(net, [query], obs)
             np.testing.assert_allclose(posterior.probabilities, want, atol=1e-9)
 

@@ -75,7 +75,7 @@ class TestTveMultiply:
         )
         out = tve_multiply(cat, g1, g2)
         assert len(out.members) == 2
-        assert out.total_size() <= out.signature_space(cat)
+        assert out.total_size() <= out.fold_key(cat)[0]
 
     def test_expansion_matches_dense_product(self):
         # grouped multiply against the dense-product oracle on all

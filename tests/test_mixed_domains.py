@@ -8,6 +8,7 @@ from ctxve import (
     Confactor,
     Context,
     ContextualBeliefNetwork,
+    ContextualVE,
     DomainCatalog,
     SplitMix64,
     Table,
@@ -73,7 +74,7 @@ def test_all_engines_agree_on_mixed_domains(seed):
             for engine in (ve_query, cve_query, tve_query):
                 post, _ = engine(net, [query], obs)
                 np.testing.assert_allclose(post.probabilities, want, atol=1e-9)
-            audited, _ = cve_query(net, [query], obs, audit=True)
+            audited = ContextualVE(net, audit=True).query([query], obs)
             np.testing.assert_allclose(audited.probabilities, want, atol=1e-9)
 
 

@@ -12,12 +12,12 @@ from ctxve import (
     Confactor,
     Context,
     ContextualBeliefNetwork,
+    ContextualVE,
     DomainCatalog,
     GenConfig,
     SplitMix64,
     Table,
     ZeroEvidenceError,
-    cve_query,
     enum_query,
     from_tabular_cpt,
     generate_biased_cbn,
@@ -315,7 +315,7 @@ class TestBarrenPruning:
         free = [v for v in range(net.n_vars()) if v != q and v not in obs]
         oracle = enum_query(net, [q], obs)
         for order in (None, free, free[::-1]):
-            posterior, _ = cve_query(net, [q], obs, order=order, audit=True)
+            posterior = ContextualVE(net, audit=True).query([q], obs, order)
             assert posterior.max_abs_diff(oracle) < 1e-12, order
 
 

@@ -40,6 +40,11 @@ def test_every_engine_defines_the_per_variable_step():
         assert "query" not in vars(cls), name
 
 
+def test_query_functions_are_the_engines_answer():
+    for name, cls in ctxve.ENGINES.items():
+        assert getattr(ctxve, f"{name}_query") == cls.answer, name
+
+
 def test_every_traced_name_resolves():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)

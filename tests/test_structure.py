@@ -17,7 +17,6 @@ from ctxve import (
     generate_biased_cbn,
     generate_random_cbn,
     joint_table,
-    redundant_variables,
 )
 from ctxve.network import to_document
 from ctxve.structure import _collapse_redundant
@@ -31,25 +30,30 @@ def dense_e(cat):
     return net.tabular_factor(cat.index("e"))
 
 
+def collapsed_parents(t, child, cfg=None):
+    """The parents that compression's collapse step removes from ``t``."""
+    return set(t.vars) - set(_collapse_redundant(t, child, cfg or CompressionConfig()).vars)
+
+
 class TestRedundancy:
     def test_constant_slab_is_redundant(self):
         cat = tree_catalog()
         dense = dense_e(cat)
         sub = set_table(dense, ctx(cat, "a=true,b=true"))
-        got = redundant_variables(sub, cat.index("e"))
+        got = collapsed_parents(sub, cat.index("e"))
         assert got == {cat.index("c"), cat.index("d")}
 
     def test_no_redundancy_in_full_table(self):
         cat = tree_catalog()
         dense = dense_e(cat)
-        assert redundant_variables(dense, cat.index("e")) == set()
+        assert collapsed_parents(dense, cat.index("e")) == set()
 
     def test_boundary_difference_is_not_redundant(self):
         cat = DomainCatalog([("p", ("0", "1")), ("x", ("0", "1"))])
         t = cat.table((0, 1), [0.50, 0.50, 0.55, 0.45])
         # differences of exactly the threshold do not qualify
-        assert redundant_variables(t, 1, CompressionConfig(threshold=0.05)) == set()
-        assert redundant_variables(t, 1, CompressionConfig(threshold=0.051)) == {0}
+        assert collapsed_parents(t, 1, CompressionConfig(threshold=0.05)) == set()
+        assert collapsed_parents(t, 1, CompressionConfig(threshold=0.051)) == {0}
 
     def test_block_collapse_respects_joint_spread(self):
         # both parents look individually redundant but their joint block
@@ -60,7 +64,6 @@ class TestRedundancy:
         arr[:, :, 1] = 1 - arr[:, :, 0]
         t = Table((0, 1, 2), arr)
         cfg = CompressionConfig(threshold=0.05)
-        assert redundant_variables(t, 2, cfg) == {0, 1}
         collapsed = _collapse_redundant(t, 2, cfg)
         assert len(collapsed.vars) == 2  # child plus one surviving parent
 
