@@ -8,10 +8,11 @@ against the others on each campaign row.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .counters import CostCounters
 from .engine_cve import ContextualVE
@@ -58,13 +59,13 @@ class BenchRecord:
     query: str
     evidence: str
     engine: str
-    time_ms: float
-    mults: int
-    adds: int
-    splits: int
-    max_table: int
-    max_elim: int
-    total_size: int
+    time_ms: float = 0.0
+    mults: int = 0
+    adds: int = 0
+    splits: int = 0
+    max_table: int = 0
+    max_elim: int = 0
+    total_size: int = 0
     error: Optional[str] = None
 
     def csv_row(self) -> str:
@@ -76,14 +77,6 @@ class BenchRecord:
             f"{self.time_ms:.3f},{self.mults},{self.adds},{self.splits},"
             f"{self.max_table},{self.max_elim},{self.total_size}"
         )
-
-
-def _input_size(name: str, net: ContextualBeliefNetwork) -> int:
-    if name == "ve":
-        return net.total_tabular_size()
-    if name in ("cve", "tve"):
-        return net.total_confactor_size()
-    return 0
 
 
 def sample_queries(
@@ -110,6 +103,22 @@ def sample_queries(
     return rows
 
 
+def check_row(answers: Mapping[str, tuple[Posterior, CostCounters]], where: str) -> None:
+    """The control on one campaign row, given each engine's (posterior,
+    counters): raise :class:`InvariantError`, naming ``where``, if two
+    engines' posteriors differ by more than 1e-9 or ``tve`` multiplies more
+    than ``ve``."""
+    for a, b in itertools.combinations(sorted(answers), 2):
+        diff = answers[a][0].max_abs_diff(answers[b][0])
+        if diff > 1e-9:
+            raise InvariantError(f"engines {a} and {b} disagree by {diff:.3e} on {where}")
+    if "ve" in answers and "tve" in answers:
+        if answers["tve"][1].multiplications > answers["ve"][1].multiplications:
+            raise InvariantError(
+                f"tree engine multiplied more than the tabular engine on {where}"
+            )
+
+
 def run_campaign(
     nets: Sequence[tuple[str, ContextualBeliefNetwork]],
     queries_per_net: int = 1,
@@ -121,10 +130,10 @@ def run_campaign(
     """Run every engine on uniformly sampled queries over the given networks.
 
     Each (network, query, engine) cell is evaluated ``replicates`` times and
-    the smallest runtime is reported.  Posteriors of all engines must agree
-    pairwise within 1e-9 on every row; an engine raising an error yields an
-    error row and the campaign continues.  Returns the records plus the CSV
-    document (deterministic for a fixed seed, apart from the time_ms column).
+    the smallest runtime is reported.  Every row must pass
+    :func:`check_row`; an engine raising an error yields an error row and
+    the campaign continues.  Returns the records plus the CSV document
+    (deterministic for a fixed seed, apart from the time_ms column).
     """
     unknown = [name for name in engines if name not in ENGINES]
     if unknown:
@@ -138,76 +147,36 @@ def run_campaign(
     rng = SplitMix64(seed)
     records: list[BenchRecord] = []
     for net_id, net in nets:
-        rows = sample_queries(net, rng, queries_per_net, obs_counts)
-        for query, obs in rows:
-            query_label = net.catalog.names[query]
-            evidence_label = ";".join(
-                f"{net.catalog.names[v]}={net.catalog.domains[v][val]}"
-                for v, val in obs.items()
+        cat = net.catalog
+        for query, obs in sample_queries(net, rng, queries_per_net, obs_counts):
+            row = (
+                net_id,
+                cat.names[query],
+                ";".join(f"{cat.names[v]}={cat.domains[v][val]}" for v, val in obs.items()),
             )
-            posteriors: dict[str, Posterior] = {}
-            mults_by_engine: dict[str, int] = {}
+            answers: dict[str, tuple[Posterior, CostCounters]] = {}
             for name in engines:
                 best_ms = math.inf
-                engine = None
-                posterior = None
-                failure = None
                 try:
                     for _ in range(replicates):
-                        engine = ENGINES[name](net)
                         start = time.perf_counter()
-                        posterior = engine.query([query], obs)
-                        elapsed = (time.perf_counter() - start) * 1000.0
-                        best_ms = min(best_ms, elapsed)
-                except ZeroEvidenceError as exc:
-                    failure = f"inference: {exc}"
+                        answer = ENGINES[name].answer(net, [query], obs)
+                        best_ms = min(best_ms, (time.perf_counter() - start) * 1000.0)
                 except Exception as exc:  # noqa: BLE001 - recorded, not raised
-                    failure = f"{type(exc).__name__}: {exc}"
-                if failure is not None:
-                    records.append(
-                        BenchRecord(
-                            net_id, query_label, evidence_label, name,
-                            0.0, 0, 0, 0, 0, 0, 0, error=failure,
-                        )
-                    )
+                    kind = "inference" if isinstance(exc, ZeroEvidenceError) else type(exc).__name__
+                    records.append(BenchRecord(*row, name, error=f"{kind}: {exc}"))
                     continue
-                assert engine is not None and posterior is not None
-                c: CostCounters = engine.counters
-                posteriors[name] = posterior
-                mults_by_engine[name] = c.multiplications
+                answers[name] = answer
+                c = answer[1]
+                size = net.total_tabular_size() if name == "ve" else net.total_confactor_size()
                 records.append(
                     BenchRecord(
-                        net_id,
-                        query_label,
-                        evidence_label,
-                        name,
-                        best_ms,
-                        c.multiplications,
-                        c.additions,
-                        c.splits,
-                        c.max_table_size,
-                        c.max_elim_size,
-                        _input_size(name, net),
+                        *row, name, best_ms, c.multiplications, c.additions, c.splits,
+                        c.max_table_size, c.max_elim_size, size,
                     )
                 )
-            if len(posteriors) > 1:
-                names = sorted(posteriors)
-                for i in range(len(names)):
-                    for j in range(i + 1, len(names)):
-                        diff = posteriors[names[i]].max_abs_diff(posteriors[names[j]])
-                        if diff > 1e-9:
-                            raise InvariantError(
-                                f"engines {names[i]} and {names[j]} disagree by "
-                                f"{diff:.3e} on {net_id} query {query_label}"
-                            )
-                if "ve" in mults_by_engine and "tve" in mults_by_engine:
-                    if mults_by_engine["tve"] > mults_by_engine["ve"]:
-                        raise InvariantError(
-                            f"tree engine multiplied more than the tabular engine "
-                            f"on {net_id} query {query_label}"
-                        )
-    csv = render_csv(records)
-    return records, csv
+            check_row(answers, f"{net_id} query {row[1]}")
+    return records, render_csv(records)
 
 
 def render_csv(records: Sequence[BenchRecord]) -> str:

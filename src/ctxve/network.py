@@ -144,50 +144,52 @@ class ContextualBeliefNetwork:
         return Table(free, tile(fam, free, self.catalog, 0.0, obs))
 
     def validate(self) -> list[str]:
-        """All family-invariant violations, as human-readable strings.
+        """All family-invariant violations, as human-readable strings, each
+        prefixed with its variable's name; empty iff the network is well
+        formed."""
+        return [
+            f"{self.catalog.names[x]}: {fault}"
+            for x, fam in enumerate(self.families)
+            for fault in family_faults(self.catalog, x, fam)
+        ]
 
-        Returns an empty list iff the network is well formed.
-        """
-        cat = self.catalog
-        violations: list[str] = []
-        for x in range(self.n_vars()):
-            name = cat.names[x]
-            fam = self.families[x]
-            if not fam:
-                violations.append(f"{name}: empty family")
-                continue
-            for i, r in enumerate(fam):
-                if x not in r.table.vars:
-                    violations.append(f"{name}: confactor {i} has no {name} in its table")
-                for v in r.body.vars():
-                    if v >= x:
-                        violations.append(
-                            f"{name}: confactor {i} body mentions non-predecessor {cat.names[v]}"
-                        )
-                    val = r.body.get(v)
-                    if val is not None and val >= cat.size(v):
-                        violations.append(
-                            f"{name}: confactor {i} assigns out-of-domain value to {cat.names[v]}"
-                        )
-                for v in r.table.vars:
-                    if v != x and v >= x:
-                        violations.append(
-                            f"{name}: confactor {i} table mentions non-predecessor {cat.names[v]}"
-                        )
-                    if r.table.domain_size(v) != cat.size(v):
-                        violations.append(
-                            f"{name}: confactor {i} table dimension mismatch for {cat.names[v]}"
-                        )
-                if not np.all(np.isfinite(r.table.array)) or np.any(r.table.array < 0):
-                    violations.append(f"{name}: confactor {i} has negative or non-finite entries")
-                elif x in r.table.vars:
-                    sums = r.table.array.sum(axis=r.table.vars.index(x))
-                    if not np.allclose(sums, 1.0, atol=NORMALIZATION_TOL, rtol=0.0):
-                        violations.append(f"{name}: confactor {i} not normalized over {name}")
-            violations.extend(
-                f"{name}: {fault}" for fault in partition_faults(cat, [r.body for r in fam])
-            )
-        return violations
+
+def family_faults(catalog: DomainCatalog, x: VariableId, fam: Sequence[Confactor]) -> list[str]:
+    """Why ``fam`` is not a valid family for ``x``; empty iff it is.
+
+    A valid family is not empty.  Each member's body assigns in-domain
+    values to predecessors of ``x``; its table holds ``x`` and otherwise
+    only predecessors, each over its whole domain, and is finite,
+    non-negative and normalized over ``x``.  The bodies are mutually
+    exclusive and exhaustive (:func:`~ctxve.confactor.partition_faults`).
+    """
+    if not fam:
+        return ["empty family"]
+    names = catalog.names
+    faults: list[str] = []
+    for i, r in enumerate(fam):
+        arr = r.table.array
+        if x not in r.table.vars:
+            faults.append(f"confactor {i} has no {names[x]} in its table")
+        for v, val in r.body.items():
+            if v >= x:
+                faults.append(f"confactor {i} body mentions non-predecessor {names[v]}")
+            if not 0 <= val < catalog.size(v):
+                faults.append(f"confactor {i} assigns out-of-domain value to {names[v]}")
+        for v, dim in zip(r.table.vars, arr.shape):
+            if v > x:
+                faults.append(f"confactor {i} table mentions non-predecessor {names[v]}")
+            if dim != catalog.size(v):
+                faults.append(f"confactor {i} table dimension mismatch for {names[v]}")
+        # min/max reject NaN too: a comparison with NaN is false.
+        if not (arr.min() >= 0.0 and arr.max() < math.inf):
+            faults.append(f"confactor {i} has negative or non-finite entries")
+        elif x in r.table.vars:
+            sums = arr.sum(axis=r.table.vars.index(x))
+            if abs(sums - 1.0).max() > NORMALIZATION_TOL:
+                faults.append(f"confactor {i} not normalized over {names[x]}")
+    faults.extend(partition_faults(catalog, [r.body for r in fam]))
+    return faults
 
 
 def from_tabular_cpt(
@@ -202,21 +204,17 @@ def from_tabular_cpt(
 def from_skeleton(
     catalog: DomainCatalog, skeleton: ParentSkeleton, distributions: Sequence[Table]
 ) -> list[Confactor]:
-    """Family from a parent skeleton: one confactor per skeletal pair."""
+    """Family from a parent skeleton: one confactor per skeletal pair, or a
+    ``ValueError`` naming its :func:`family_faults`."""
     x = skeleton.child
     if len(distributions) != len(skeleton.pairs):
         raise ValueError("one distribution required per skeletal pair")
-    faults = partition_faults(catalog, [c for c, _ in skeleton.pairs])
+    if any(set(t.vars) != {*vs, x} for (_, vs), t in zip(skeleton.pairs, distributions)):
+        raise ValueError("distribution variables must match the skeletal pair")
+    fam = [Confactor(ctx, t) for (ctx, _), t in zip(skeleton.pairs, distributions)]
+    faults = family_faults(catalog, x, fam)
     if faults:
-        raise ValueError("skeleton contexts: " + "; ".join(faults))
-    fam = []
-    for (ctx, vs), table in zip(skeleton.pairs, distributions):
-        if set(table.vars) != set(vs) | {x}:
-            raise ValueError("distribution variables must match the skeletal pair")
-        sums = table.array.sum(axis=table.vars.index(x))
-        if not np.allclose(sums, 1.0, atol=NORMALIZATION_TOL, rtol=0.0):
-            raise ValueError(f"distribution not normalized over {catalog.names[x]}")
-        fam.append(Confactor(ctx, table))
+        raise ValueError(f"family of {catalog.names[x]}: " + "; ".join(faults))
     return fam
 
 
@@ -245,37 +243,49 @@ def to_document(net: ContextualBeliefNetwork) -> dict:
     return doc
 
 
+def _field(entry, key: str, kind: type, default=None):
+    """``entry[key]``, which must be a ``kind``; ``default`` if the key is
+    absent and a default is given."""
+    if not isinstance(entry, dict):
+        raise TypeError(f"expected an object, got {type(entry).__name__}")
+    value = entry.get(key, default)
+    if value is None:
+        raise ValueError(f"missing field {key!r}")
+    if not isinstance(value, kind):
+        raise TypeError(f"field {key!r} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def from_document(doc: dict, force: bool = False) -> ContextualBeliefNetwork:
+    """Network from a parsed document in the module's format, validated
+    unless ``force``.  A malformed entry raises :class:`NetworkFormatError`
+    naming where it is."""
+    where = "document"
     try:
-        var_entries = doc["variables"]
-        fam_entries = doc["families"]
-    except (KeyError, TypeError) as exc:
-        raise NetworkFormatError(f"missing top-level field: {exc}") from None
-    try:
-        catalog = DomainCatalog([(e["name"], e["values"]) for e in var_entries])
+        var_entries = _field(doc, "variables", list)
+        fam_entries = _field(doc, "families", list)
+        decls = []
+        for k, e in enumerate(var_entries):
+            where = f"variable {k}"
+            decls.append((_field(e, "name", str), _field(e, "values", list)))
+        where = "variables"
+        catalog = DomainCatalog(decls)
+        families: list[list[Confactor]] = [[] for _ in range(len(catalog))]
+        seen_children: set[int] = set()
+        for k, entry in enumerate(fam_entries):
+            where = f"family {k}"
+            child = catalog.index(_field(entry, "child", str))
+            if child in seen_children:
+                raise ValueError(f"duplicate family for variable {catalog.names[child]!r}")
+            seen_children.add(child)
+            for i, c_entry in enumerate(_field(entry, "confactors", list, [])):
+                where = f"family of {catalog.names[child]!r}, confactor {i}"
+                body = catalog.context(_field(c_entry, "context", dict, {}))
+                vars = tuple(catalog.index(n) for n in _field(c_entry, "vars", list))
+                table = catalog.table(vars, _field(c_entry, "table", list))
+                families[child].append(Confactor(body, table))
     except (KeyError, TypeError, ValueError) as exc:
-        raise NetworkFormatError(f"bad variable declaration: {exc}") from None
-    families: list[list[Confactor]] = [[] for _ in range(len(catalog))]
-    seen_children: set[int] = set()
-    for entry in fam_entries:
-        try:
-            child = catalog.index(entry["child"])
-        except KeyError as exc:
-            raise NetworkFormatError(str(exc)) from None
-        if child in seen_children:
-            raise NetworkFormatError(
-                f"duplicate family for variable {catalog.names[child]!r}"
-            )
-        seen_children.add(child)
-        for i, c_entry in enumerate(entry.get("confactors", [])):
-            where = f"family of {catalog.names[child]!r}, confactor {i}"
-            try:
-                body = catalog.context(c_entry.get("context", {}))
-                vars = tuple(catalog.index(n) for n in c_entry["vars"])
-                table = catalog.table(vars, c_entry["table"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise NetworkFormatError(f"{where}: {exc}") from None
-            families[child].append(Confactor(body, table))
+        raise NetworkFormatError(f"{where}: {exc}") from None
     missing = [catalog.names[x] for x in range(len(catalog)) if x not in seen_children]
     if missing:
         raise NetworkFormatError(f"variables without families: {missing}")

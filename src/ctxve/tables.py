@@ -242,9 +242,6 @@ class Table:
     def flat(self) -> np.ndarray:
         return self.array.reshape(-1)
 
-    def domain_size(self, var: VariableId) -> int:
-        return self.array.shape[self.vars.index(var)]
-
     def lookup(self, assignment: Mapping[VariableId, int]) -> float:
         """Entry at a full assignment of this table's variables."""
         idx = tuple(assignment[v] for v in self.vars)

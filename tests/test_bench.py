@@ -20,7 +20,8 @@ from ctxve import (
     run_campaign,
     cve_query,
 )
-from ctxve.bench import CSV_HEADER, sample_queries
+from ctxve.bench import CSV_HEADER, check_row, sample_queries
+from ctxve.errors import InvariantError
 
 from conftest import answer_paths, brute_posterior, ctx
 
@@ -155,6 +156,31 @@ def strip_time(doc):
             cells[4] = ""
         rows.append(",".join(cells))
     return rows
+
+
+class TestCheckRow:
+    def answers(self, tree_net):
+        e = tree_net.catalog.index("e")
+        return {name: cls.answer(tree_net, [e]) for name, cls in ENGINES.items()}
+
+    def test_agreeing_engines_pass(self, tree_net):
+        check_row(self.answers(tree_net), "tree e")
+
+    def test_one_engine_passes(self, tree_net):
+        check_row({"tve": self.answers(tree_net)["tve"]}, "tree e")
+
+    def test_disagreement_raises(self, tree_net):
+        answers = self.answers(tree_net)
+        post, counters = answers["cve"]
+        post.table.array[...] = post.table.array[::-1]
+        with pytest.raises(InvariantError, match="engines cve and tve disagree by .* on tree e"):
+            check_row(answers, "tree e")
+
+    def test_tve_multiplying_more_than_ve_raises(self, tree_net):
+        answers = self.answers(tree_net)
+        answers["tve"][1].multiplications = answers["ve"][1].multiplications + 1
+        with pytest.raises(InvariantError, match="tree engine multiplied more .* on tree e"):
+            check_row(answers, "tree e")
 
 
 class TestCampaign:

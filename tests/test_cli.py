@@ -40,6 +40,16 @@ class TestValidate:
         assert code == 1
         assert "cover" in err
 
+    @pytest.mark.parametrize("families", [[1], [{"child": "a", "confactors": [3]}]])
+    def test_malformed_document_is_one_error_line(self, capsys, tmp_path, families):
+        bad = tmp_path / "malformed.json"
+        doc = {"variables": [{"name": "a", "values": ["t"]}], "families": families}
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestInfer:
     def test_posterior_lines(self, capsys, tree_path):

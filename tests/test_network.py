@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ctxve import (
     Confactor,
     Context,
     ContextualBeliefNetwork,
+    DomainCatalog,
     NetworkFormatError,
     ParentSkeleton,
     from_skeleton,
@@ -106,6 +108,42 @@ def test_unnormalized_column_is_reported(tree_net):
     )
     broken = ContextualBeliefNetwork(cat, families)
     assert any("not normalized" in v for v in broken.validate())
+
+
+@pytest.mark.parametrize(
+    "values, fault",
+    [
+        ([0.55, 0.45, 0.3, 0.7], None),
+        ([0.55, 0.45 + 2e-6, 0.3, 0.7], "not normalized over e"),
+        ([1.2, -0.2, 0.3, 0.7], "has negative or non-finite entries"),
+        ([float("nan"), 0.45, 0.3, 0.7], "has negative or non-finite entries"),
+        ([float("inf"), 0.45, 0.3, 0.7], "has negative or non-finite entries"),
+        ([-float("inf"), 0.45, 0.3, 0.7], "has negative or non-finite entries"),
+    ],
+    ids=["normalized", "off-by-2e-6", "negative", "nan", "inf", "minus-inf"],
+)
+def test_entry_faults(tree_net, values, fault):
+    cat = tree_net.catalog
+    e = cat.index("e")
+    families = [list(f) for f in tree_net.families]
+    families[e][0] = Confactor(ctx(cat, "a=true"), table(cat, ["b", "e"], values))
+    faults = ContextualBeliefNetwork(cat, families).validate()
+    assert faults == ([] if fault is None else [f"e: confactor 0 {fault}"])
+
+
+def test_negative_body_value_is_out_of_domain():
+    # {a=-1} and {a=0} are disjoint and count two cells of a's two, so only
+    # the domain check can catch the -1.
+    cat = DomainCatalog([("a", ("t", "f")), ("b", ("t", "f"))])
+    b_given = cat.table((1,), [0.5, 0.5])
+    net = ContextualBeliefNetwork(
+        cat,
+        [
+            [Confactor(Context(), cat.table((0,), [0.5, 0.5]))],
+            [Confactor(Context([(0, -1)]), b_given), Confactor(Context([(0, 0)]), b_given)],
+        ],
+    )
+    assert net.validate() == ["b: confactor 0 assigns out-of-domain value to a"]
 
 
 class TestFromTabular:
@@ -247,6 +285,39 @@ class TestRoundTrip:
         path = tmp_path / "broken.json"
         path.write_text('{"variables": [}', encoding="utf-8")
         with pytest.raises(NetworkFormatError, match="line 1"):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.clear(), "document: missing field 'variables'"),
+            (lambda d: d["variables"][1].update(values="tf"),
+             "variable 1: field 'values' must be a list, got str"),
+            (lambda d: d.update(families=[1]), "family 0: expected an object, got int"),
+            (lambda d: d["families"][1].update(confactors=[3]),
+             "family of 'b', confactor 0: expected an object, got int"),
+            (lambda d: d["families"][1].update(confactors={"x": 1}),
+             "family 1: field 'confactors' must be a list, got dict"),
+            (lambda d: d["families"][1]["confactors"][0].update(vars="ab"),
+             "family of 'b', confactor 0: field 'vars' must be a list, got str"),
+            (lambda d: d["families"][1]["confactors"][0].update(context={"a": "t"}),
+             "family of 'b', confactor 0: body and table share variables"),
+        ],
+        ids=["no-variables", "values-str", "family-int", "confactor-int",
+             "confactors-dict", "vars-str", "body-in-table"],
+    )
+    def test_malformed_entry_is_named(self, tmp_path, edit, message):
+        doc = {
+            "variables": [{"name": "a", "values": ["t", "f"]}, {"name": "b", "values": ["t", "f"]}],
+            "families": [
+                {"child": "a", "confactors": [{"vars": ["a"], "table": [0.5, 0.5]}]},
+                {"child": "b", "confactors": [{"vars": ["a", "b"], "table": [0.5] * 4}]},
+            ],
+        }
+        edit(doc)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(NetworkFormatError, match=re.escape(message)):
             load(path)
 
     def test_invalid_network_rejected_unless_forced(self, tmp_path, tree_net):
