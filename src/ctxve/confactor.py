@@ -40,9 +40,10 @@ EMPTY: frozenset[int] = frozenset()
 
 
 class Confactor:
-    """Pair of a body context and a table over disjoint variable sets."""
+    """Pair of a body context and a table over disjoint variable sets;
+    ``vars`` holds the variables it mentions, the body's then the table's."""
 
-    __slots__ = ("body", "table", "for_vars", "pure_for")
+    __slots__ = ("body", "table", "for_vars", "pure_for", "vars")
 
     def __init__(
         self,
@@ -60,12 +61,10 @@ class Confactor:
         self.table = table
         self.for_vars = for_vars
         self.pure_for = pure_for
-
-    def variables(self) -> frozenset[int]:
-        return frozenset(self.body.vars()) | frozenset(self.table.vars)
-
-    def involves(self, var: VariableId) -> bool:
-        return var in self.table.vars or var in self.body
+        # A tuple, not a set: a network holds thousands of confactors, a set
+        # costs 216 bytes and a garbage-collector slot each, and the
+        # elimination loop's ``in`` test measured no slower on a tuple.
+        self.vars = tuple(body._map) + table.vars
 
     @property
     def size(self) -> int:

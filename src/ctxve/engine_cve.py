@@ -1,12 +1,13 @@
 """Contextual variable elimination.
 
-The working state is a multiset of confactors.  Eliminating a variable Y
-partitions it into the confactors for Y (a complete set descended from Y's
-family), the other confactors involving Y, and the rest.  Each confactor
-involving Y is absorbed into the complete set: members incompatible with it
-pass through, compatible members are split so that exactly one piece matches
-and that piece collects the incoming table.  Absorbed tables are multiplied
-lazily: each member keeps a list of tables (a
+The working set is a multiset of confactors.  Eliminating a variable Y
+hands its bucket, the confactors that mention Y, to the step
+(:meth:`~ctxve.orders.Engine.eliminate` splits it off), which partitions it
+into the confactors for Y (a complete set descended from Y's family) and the
+others.  Each of the others is absorbed into the complete set: members
+incompatible with it pass through, compatible members are split so that
+exactly one piece matches and that piece collects the incoming table.
+Absorbed tables are multiplied lazily: each member keeps a list of tables (a
 :class:`~ctxve.confactor.Member`).
 
 Summing Y out of the members is :func:`sum_out_members`, the one sum-out
@@ -175,22 +176,20 @@ def sum_out_members(
 
 
 class ContextualVE(Engine):
-    """Confactor multisets; the query lifecycle is :meth:`Engine.query`."""
+    """Confactor multisets; the query and its elimination loop are
+    :class:`Engine`'s, audited after each step when ``audit`` is set."""
 
     def __init__(self, net: ContextualBeliefNetwork, audit: bool = False):
         super().__init__(net)
         self.audit = audit
-        self.base: list[Confactor] = []
-        self._eliminated: list[VariableId] = []
         self._reference: Optional[Table] = None
 
     # -- elimination steps --------------------------------------------------
 
     def begin(self, obs: Optional[Context] = None) -> None:
         obs = obs or Context()
-        self._eliminated = []
         families = self.net.families
-        self.base = incorporate_evidence([r for x in self.relevant for r in families[x]], obs)
+        self.items = incorporate_evidence([r for x in self.relevant for r in families[x]], obs)
         if self.audit:
             # The joint of the whole network, with the pruned (barren)
             # variables summed out: their families sum to ones.
@@ -203,38 +202,32 @@ class ContextualVE(Engine):
             self._check_invariants()
 
     def eliminate(self, y: VariableId) -> None:
-        r_minus: list[Confactor] = []
+        super().eliminate(y)
+        if self.audit:
+            self._check_invariants()
+
+    def step(self, y: VariableId, bucket: list[Confactor], rest: list[Confactor]) -> tuple:
+        """Absorb the bucket's other confactors into the ones for ``y`` and
+        sum ``y`` out.  Every confactor for ``y`` must mention ``y``."""
         r_plus: list[Confactor] = []
         r_star: list[Confactor] = []
-        for r in self.base:
-            if y in r.for_vars:
-                if not r.involves(y):
-                    raise InvariantError(
-                        "confactor tracked for a variable it does not involve"
-                    )
-                r_plus.append(r)
-            elif r.involves(y):
-                r_star.append(r)
-            else:
-                r_minus.append(r)
+        for r in bucket:
+            (r_plus if y in r.for_vars else r_star).append(r)
         created = self._absorb(y, r_plus, r_star)
         # Step size: the created confactors and the survivors sharing a for_var.
         changed: set[int] = set()
         for c in created:
             changed |= c.for_vars
-        elim_size = sum(c.size for c in created) + sum(
-            c.size for c in r_minus if not changed.isdisjoint(c.for_vars)
-        )
-        self.counters.record_elimination(y, [c.size for c in created], elim_size)
-        # The base stays in insertion order: survivors first, then the
-        # confactors this elimination created.
-        self.base = r_minus + created
-        self._eliminated.append(y)
-        if self.audit:
-            self._check_invariants()
+        elim_size = sum(c.size for c in created)
+        for c in rest:
+            if y in c.for_vars:
+                raise InvariantError("confactor tracked for a variable it does not involve")
+            if not changed.isdisjoint(c.for_vars):
+                elim_size += c.size
+        return created, [c.size for c in created], elim_size
 
     def finish(self) -> Table:
-        return extract_posterior(self.base, self.net.catalog, self.counters)
+        return extract_posterior(self.items, self.net.catalog, self.counters)
 
     # -- absorption ---------------------------------------------------------
 
@@ -250,8 +243,8 @@ class ContextualVE(Engine):
         members = [
             Member(r.body, [r.table], r.for_vars, r.pure_for) for r in r_plus
         ]
-        # Shortest bodies first; the sort is stable, so ties keep the base's
-        # insertion order.
+        # Shortest bodies first; the sort is stable, so ties keep the working
+        # set's order.
         for r in sorted(r_star, key=lambda r: len(r.body)):
             nxt: list[Member] = []
             landed = False
@@ -286,22 +279,22 @@ class ContextualVE(Engine):
         assert self._reference is not None
         catalog = self.net.catalog
         marginal = self._reference
-        for v in self._eliminated:
-            if v in marginal.vars:  # not a pruned variable of a user order
-                marginal = sum_out(marginal, v)
+        for rec in self.counters.eliminations:
+            if rec.variable in marginal.vars:  # not a pruned variable of a user order
+                marginal = sum_out(marginal, rec.variable)
         remaining = sorted(marginal.vars)
         # Product of the applicable confactor values must be proportional to
         # the evidence-weighted marginal, everywhere.
         prod_arr = np.ones(catalog.shape(remaining))
         covered = {v: np.zeros(catalog.shape(remaining), dtype=bool) for v in remaining}
-        for r in self.base:
+        for r in self.items:
             # a confactor still pure for something was never multiplied, so
             # it cannot have gathered any other provenance
             if r.pure_for and r.pure_for != r.for_vars:
                 raise InvariantError("pure bookkeeping out of sync with provenance")
             prod_arr = prod_arr * tile([r], remaining, catalog, 1.0)
             body_mask = tile([Confactor(r.body, _ONE)], remaining, catalog, 0.0) == 1.0
-            for v in r.variables():
+            for v in r.vars:
                 covered[v] |= body_mask
         for v, mask in covered.items():
             if not mask.all():
@@ -321,7 +314,7 @@ class ContextualVE(Engine):
                 raise InvariantError("confactor products diverge from the joint")
         # Each tracked family must stay mutually exclusive and covering.
         for x in remaining:
-            faults = partition_faults(catalog, [r.body for r in self.base if x in r.for_vars])
+            faults = partition_faults(catalog, [r.body for r in self.items if x in r.for_vars])
             if faults:
                 raise InvariantError(
                     f"tracked confactors for {catalog.names[x]}: " + "; ".join(faults)

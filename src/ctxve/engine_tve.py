@@ -10,7 +10,7 @@ In wall time it is not eager: like the tabular engine, it never builds the
 last product of a bucket.
 
 After evidence the two schedules can part.  Evidence can drop every member
-that mentions a variable; the group's signature then loses that variable
+that mentions a variable; the group's ``vars`` then lose that variable
 while the tabular engine's dense factor keeps it, so the groups fold in
 another order and can cost more multiplications than the tabular engine
 (the strict xfail ``test_evidence_narrowed_groups_pass_the_mults_check``).
@@ -28,7 +28,7 @@ empty, as two groups descend from disjoint families.  A result with no
 variables is a constant and is dropped through
 :func:`~ctxve.posterior.cancels`, as the tabular engine drops its scalars.
 ``finish`` merges what is left eagerly and tiles it densely over its
-signature.
+variables.
 """
 
 from __future__ import annotations
@@ -39,23 +39,20 @@ from typing import Optional, Sequence
 from .confactor import EMPTY, Confactor, Member, pairwise
 from .engine_cve import incorporate_evidence, sum_out_members
 from .errors import InvariantError
-from .network import ContextualBeliefNetwork
 from .orders import Engine
 from .posterior import cancels, tile_confactors
 from .tables import Context, DomainCatalog, Table, VariableId, product
 
 
 class GroupedFactor:
-    """A complete confactor set standing in for one tabular factor."""
+    """A complete confactor set standing in for one tabular factor; ``vars``
+    are the variables its members mention."""
 
-    __slots__ = ("members", "signature")
+    __slots__ = ("members", "vars")
 
     def __init__(self, members: Sequence[Confactor]):
         self.members = list(members)
-        signature: set[int] = set()
-        for r in self.members:
-            signature.update(r.body.vars(), r.table.vars)
-        self.signature: frozenset[int] = frozenset(signature)
+        self.vars: frozenset[int] = frozenset({v for r in self.members for v in r.vars})
 
     def total_size(self) -> int:
         return sum(r.size for r in self.members)
@@ -63,16 +60,16 @@ class GroupedFactor:
     def fold_key(self, catalog: DomainCatalog) -> tuple[int, list[int]]:
         """The tabular engine's fold order (:func:`~ctxve.tables.fold_key`)
         on the dense factor this group stands for."""
-        return math.prod(catalog.size(v) for v in self.signature), sorted(self.signature)
+        return math.prod(catalog.size(v) for v in self.vars), sorted(self.vars)
 
 
-def note_products(catalog: DomainCatalog, sizes: Sequence[int], signature, counters) -> None:
+def note_products(catalog: DomainCatalog, sizes: Sequence[int], vars, counters) -> None:
     """Note the member products of one grouped multiplication as created
     tables and check that together they never exceed the size of the dense
-    factor over ``signature``."""
+    factor over ``vars``."""
     if counters is not None:
         counters.note_tables(sizes)
-    if sum(sizes) > math.prod(catalog.size(v) for v in signature):
+    if sum(sizes) > math.prod(catalog.size(v) for v in vars):
         raise InvariantError("grouped factor exceeds its dense factor size")
 
 
@@ -91,29 +88,26 @@ def tve_multiply(
     corresponding dense factor.
     """
     result = GroupedFactor(pairwise(g1.members, g2.members, product, counters))
-    note_products(catalog, [r.size for r in result.members], result.signature, counters)
+    note_products(catalog, [r.size for r in result.members], result.vars, counters)
     return result
 
 
 class TreeVE(Engine):
-    """Grouped confactor sets; the query lifecycle is :meth:`Engine.query`.
+    """Grouped confactor sets; the query and its elimination loop are
+    :class:`Engine`'s.
 
     The eager control in its counters only: the last product of each bucket
     is contracted over the eliminated variable, not built, but its
     multiplications are counted and each pair's size is noted in
     ``max_table``, as if it had been built."""
 
-    def __init__(self, net: ContextualBeliefNetwork):
-        super().__init__(net)
-        self.groups: list[GroupedFactor] = []
-
     def begin(self, obs: Optional[Context] = None) -> None:
         obs = obs or Context()
-        self.groups = []
+        self.items = []
         for x in self.relevant:
             members = incorporate_evidence(self.net.families[x], obs)
             if members:
-                self.groups.append(GroupedFactor(members))
+                self.items.append(GroupedFactor(members))
 
     def _merge(self, groups: Sequence[GroupedFactor]) -> GroupedFactor:
         """Multiply groups pairwise in the tabular engine's order: ascending
@@ -125,16 +119,9 @@ class TreeVE(Engine):
             merged = tve_multiply(catalog, merged, g, self.counters)
         return merged
 
-    def eliminate(self, y: VariableId) -> None:
-        involved: list[GroupedFactor] = []
-        rest: list[GroupedFactor] = []
-        for g in self.groups:
-            (involved if y in g.signature else rest).append(g)
-        if not involved:
-            self.counters.record_elimination(y, (), 0)
-            return
+    def step(self, y: VariableId, bucket: list[GroupedFactor], rest: list[GroupedFactor]) -> tuple:
         catalog = self.net.catalog
-        *head, last = sorted(involved, key=lambda g: g.fold_key(catalog))
+        *head, last = sorted(bucket, key=lambda g: g.fold_key(catalog))
         if head:
             # The bucket's last product stays lazy: sum_out_members contracts
             # each pair over y.  It is counted as if built.
@@ -144,25 +131,24 @@ class TreeVE(Engine):
                 math.prod(catalog.size(v) for v in {*m.tables[0].vars, *m.tables[1].vars})
                 for m in pairs
             ]
-            note_products(catalog, sizes, merged.signature | last.signature, self.counters)
+            note_products(catalog, sizes, merged.vars | last.vars, self.counters)
         else:
             pairs = [Member(r.body, [r.table], r.for_vars, EMPTY) for r in last.members]
         members = sum_out_members(catalog, pairs, y, self.counters)
         result = GroupedFactor(members)
-        if result.signature:
-            rest.append(result)
-        else:  # a constant: at most one member, its body empty
+        created = [result]
+        if not result.vars:  # a constant: at most one member, its body empty
+            created = []
             for r in result.members:
                 cancels(r.table)
-        self.groups = rest
-        self.counters.record_elimination(y, [r.size for r in members], result.total_size())
+        return created, [r.size for r in members], result.total_size()
 
     def finish(self) -> Table:
         """Multiply the remaining groups pairwise (the tabular engine's final
         product, group by group) and tile the resulting complete confactor
-        set densely over its signature."""
-        merged = self._merge(self.groups)
-        return tile_confactors(merged.members, merged.signature, self.net.catalog)
+        set densely over its variables."""
+        merged = self._merge(self.items)
+        return tile_confactors(merged.members, merged.vars, self.net.catalog)
 
 
 tve_query = TreeVE.answer

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .network import ContextualBeliefNetwork
 from .orders import Engine
 from .posterior import cancels
 from .tables import (
@@ -60,37 +59,23 @@ def multiply_factors(
 
 
 class TabularVE(Engine):
-    """Dense factors; the query lifecycle is :meth:`Engine.query`."""
-
-    def __init__(self, net: ContextualBeliefNetwork):
-        super().__init__(net)
-        self.factors: list[Table] = []
+    """Dense factors; the query and its elimination loop are :class:`Engine`'s."""
 
     def begin(self, obs: Optional[Context] = None) -> None:
         """Make the relevant families dense under the evidence."""
         obs = obs or Context()
-        self.factors = []
+        self.items = []
         for x in self.relevant:
             factor = self.net.factor_under(x, obs)
             if not cancels(factor):
-                self.factors.append(factor)
+                self.items.append(factor)
 
-    def eliminate(self, y: VariableId) -> None:
-        involved: list[Table] = []
-        rest: list[Table] = []
-        for f in self.factors:
-            (involved if y in f.vars else rest).append(f)
-        if not involved:
-            self.counters.record_elimination(y, (), 0)
-            return
-        result, created = multiply_all_sum_out(involved, y, self.counters)
-        if not cancels(result):
-            rest.append(result)
-        self.factors = rest
-        self.counters.record_elimination(y, created, sum(created))
+    def step(self, y: VariableId, bucket: list[Table], rest: list[Table]) -> tuple:
+        result, created = multiply_all_sum_out(bucket, y, self.counters)
+        return ([] if cancels(result) else [result]), created, sum(created)
 
     def finish(self) -> Table:
-        acc, _ = multiply_all(self.factors, self.counters)
+        acc, _ = multiply_all(self.items, self.counters)
         return acc
 
 

@@ -79,13 +79,9 @@ class ContextualBeliefNetwork:
         )
         # The variables of each family's confactors (bodies and tables), in
         # ascending id: the family's dense scope, its variable and parents.
-        scopes = []
-        for fam in self.families:
-            scope: set[int] = set()
-            for r in fam:
-                scope.update(r.body.vars(), r.table.vars)
-            scopes.append(tuple(sorted(scope)))
-        self.scopes: tuple[tuple[int, ...], ...] = tuple(scopes)
+        self.scopes: tuple[tuple[int, ...], ...] = tuple(
+            tuple(sorted(set().union(*(r.vars for r in fam)))) for fam in self.families
+        )
         self._tabular_cache: dict[int, Table] = {}
 
     def all_confactors(self) -> list[Confactor]:
@@ -157,26 +153,38 @@ class ContextualBeliefNetwork:
 def family_faults(catalog: DomainCatalog, x: VariableId, fam: Sequence[Confactor]) -> list[str]:
     """Why ``fam`` is not a valid family for ``x``; empty iff it is.
 
-    A valid family is not empty.  Each member's body assigns in-domain
-    values to predecessors of ``x``; its table holds ``x`` and otherwise
-    only predecessors, each over its whole domain, and is finite,
-    non-negative and normalized over ``x``.  The bodies are mutually
-    exclusive and exhaustive (:func:`~ctxve.confactor.partition_faults`).
+    A valid family is not empty.  Each member mentions only variables of
+    the catalog; its body assigns in-domain values to predecessors of
+    ``x``; its table holds ``x`` and otherwise only predecessors, each over
+    its whole domain, and is finite, non-negative and normalized over
+    ``x``.  The bodies are mutually exclusive and exhaustive
+    (:func:`~ctxve.confactor.partition_faults`); that is not judged while
+    the family names an unknown variable, whose domain is undefined.
     """
     if not fam:
         return ["empty family"]
     names = catalog.names
+    known = range(len(catalog))
+    unknown = {v for r in fam for v in r.vars if v not in known}
     faults: list[str] = []
     for i, r in enumerate(fam):
         arr = r.table.array
+        if unknown:
+            faults.extend(
+                f"confactor {i} mentions unknown variable id {v}" for v in r.vars if v in unknown
+            )
         if x not in r.table.vars:
             faults.append(f"confactor {i} has no {names[x]} in its table")
         for v, val in r.body.items():
+            if v in unknown:
+                continue
             if v >= x:
                 faults.append(f"confactor {i} body mentions non-predecessor {names[v]}")
             if not 0 <= val < catalog.size(v):
                 faults.append(f"confactor {i} assigns out-of-domain value to {names[v]}")
         for v, dim in zip(r.table.vars, arr.shape):
+            if v in unknown:
+                continue
             if v > x:
                 faults.append(f"confactor {i} table mentions non-predecessor {names[v]}")
             if dim != catalog.size(v):
@@ -188,7 +196,8 @@ def family_faults(catalog: DomainCatalog, x: VariableId, fam: Sequence[Confactor
             sums = arr.sum(axis=r.table.vars.index(x))
             if abs(sums - 1.0).max() > NORMALIZATION_TOL:
                 faults.append(f"confactor {i} not normalized over {names[x]}")
-    faults.extend(partition_faults(catalog, [r.body for r in fam]))
+    if not unknown:
+        faults.extend(partition_faults(catalog, [r.body for r in fam]))
     return faults
 
 
@@ -259,7 +268,8 @@ def _field(entry, key: str, kind: type, default=None):
 def from_document(doc: dict, force: bool = False) -> ContextualBeliefNetwork:
     """Network from a parsed document in the module's format, validated
     unless ``force``.  A malformed entry raises :class:`NetworkFormatError`
-    naming where it is."""
+    naming where it is; an invalid network raises it with every fault on
+    one line."""
     where = "document"
     try:
         var_entries = _field(doc, "variables", list)
@@ -293,9 +303,7 @@ def from_document(doc: dict, force: bool = False) -> ContextualBeliefNetwork:
     if not force:
         violations = net.validate()
         if violations:
-            raise NetworkFormatError(
-                "network failed validation:\n" + "\n".join(violations)
-            )
+            raise NetworkFormatError("network failed validation: " + "; ".join(violations))
     return net
 
 

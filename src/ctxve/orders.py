@@ -2,9 +2,11 @@
 
 :class:`Engine` holds the only ``query()``: it validates the query, finds the
 relevant variables, picks or checks the elimination order, then runs the
-subclass's per-variable step: ``begin(obs)`` substitutes the evidence into
-the relevant families, ``eliminate(y)`` removes one variable, ``finish()``
-multiplies what is left into one unnormalized table.
+subclass's steps: ``begin(obs)`` substitutes the evidence into the relevant
+families to fill the working set ``items``, the one elimination loop
+:meth:`Engine.eliminate` removes each variable of the order through the
+engine's ``step(y, bucket, rest)``, and ``finish()`` multiplies what is left
+into one unnormalized table.
 ``query()`` then checks that this table ranges over exactly the query
 variables (else :class:`~ctxve.errors.InvariantError`) and normalizes it:
 that answer step is the same for every engine.
@@ -56,6 +58,8 @@ from .tables import Context, VariableId
 class Engine:
     """One engine instance per query over a shared immutable network.
 
+    ``items`` is the working set: the engine's factors (tables, confactors
+    or grouped confactor sets), each naming its variables as ``vars``.
     After :meth:`query`, ``counters`` holds the query's costs, ``order`` the
     elimination order it ran and ``relevant`` the variables, in ascending
     id order, whose families ``begin`` read.  Until a query prunes it,
@@ -68,6 +72,26 @@ class Engine:
         self.counters = CostCounters()
         self.order: list[VariableId] = []
         self.relevant: list[VariableId] = list(range(net.n_vars()))
+        self.items: list = []
+
+    def eliminate(self, y: VariableId) -> None:
+        """Remove ``y`` from the working set.
+
+        The items are split, in list order, into ``y``'s bucket and the
+        rest.  A non-empty bucket goes to ``step(y, bucket, rest)``, which
+        returns the items it created, the sizes of the tables created and
+        the engine's size metric for the step; the working set becomes the
+        rest followed by the created items.  An empty bucket (such as a
+        barren variable of a user order) is a step that creates nothing.
+        """
+        bucket: list = []
+        rest: list = []
+        for item in self.items:
+            (bucket if y in item.vars else rest).append(item)
+        created, created_sizes, step_size = self.step(y, bucket, rest) if bucket else ([], (), 0)
+        rest += created
+        self.items = rest
+        self.counters.record_elimination(y, created_sizes, step_size)
 
     @classmethod
     def answer(

@@ -102,7 +102,7 @@ def extract_posterior(
     expansions = []
     for r in items:
         if r.body or not cancels(r.table):
-            scope = tuple(sorted(r.variables()))
+            scope = tuple(sorted(r.vars))
             expansions.append(Table(scope, tile([r], scope, catalog, 1.0)))
     acc, _ = multiply_all(expansions, counters)
     return acc

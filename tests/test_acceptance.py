@@ -78,24 +78,24 @@ def test_criterion_1_reference_mixture_regression():
         engine = ContextualVE(net)
         engine.begin()
         engine.eliminate(cat.index("b"))
-        ay = find_confactor(engine.base, cat, "a=true,y=true")
+        ay = find_confactor(engine.items, cat, "a=true,y=true")
         assert value(cat, ay, "a=true,e=true,y=true,z=true") == pytest.approx(0.4925, abs=tol)
         assert value(cat, ay, "a=true,e=true,y=true,z=false") == pytest.approx(0.3425, abs=tol)
-        any_ = find_confactor(engine.base, cat, "a=true,y=false")
+        any_ = find_confactor(engine.items, cat, "a=true,y=false")
         assert value(cat, any_, "a=true,e=true,y=false") == pytest.approx(0.3675, abs=tol)
-        dy = find_confactor(engine.base, cat, "a=false,c=false,d=true,y=true")
+        dy = find_confactor(engine.items, cat, "a=false,c=false,d=true,y=true")
         assert value(cat, dy, "a=false,c=false,d=true,e=true,y=true,z=true") == pytest.approx(0.21475, abs=tol)
         assert value(cat, dy, "a=false,c=false,d=true,e=true,y=true,z=false") == pytest.approx(0.70975, abs=tol)
-        dny = find_confactor(engine.base, cat, "a=false,c=false,d=true,y=false")
+        dny = find_confactor(engine.items, cat, "a=false,c=false,d=true,y=false")
         assert value(cat, dny, "a=false,c=false,d=true,e=true,y=false") == pytest.approx(0.62725, abs=tol)
 
         engine = ContextualVE(net)
         engine.begin()
         engine.eliminate(cat.index("d"))
-        z1 = find_confactor(engine.base, cat, "a=false,c=false,z=true")
+        z1 = find_confactor(engine.items, cat, "a=false,c=false,z=true")
         assert value(cat, z1, "a=false,b=true,c=false,e=true,z=true") == pytest.approx(0.36225, abs=tol)
         assert value(cat, z1, "a=false,b=false,c=false,e=true,z=true") == pytest.approx(0.6015, abs=tol)
-        z0 = find_confactor(engine.base, cat, "a=false,c=false,z=false")
+        z0 = find_confactor(engine.items, cat, "a=false,c=false,z=false")
         assert value(cat, z0, "a=false,b=true,c=false,e=true,y=true,z=false") == pytest.approx(0.12475, abs=tol)
         assert value(cat, z0, "a=false,b=true,c=false,e=true,y=false,z=false") == pytest.approx(0.21975, abs=tol)
         assert value(cat, z0, "a=false,b=false,c=false,e=true,y=true,z=false") == pytest.approx(0.7765, abs=tol)

@@ -51,6 +51,30 @@ class TestValidate:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("verb", ["infer", "bench", "compress"])
+    def test_invalid_network_is_one_error_line(self, capsys, tree_path, tmp_path, verb):
+        # validate prints one line per fault; a verb that loads the network
+        # prints them all on one error line.
+        with open(tree_path) as fh:
+            doc = json.load(fh)
+        doc["families"][0]["confactors"] = []
+        del doc["families"][6]["confactors"][3]
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w") as fh:
+            json.dump(doc, fh)
+        code, _, err = run(capsys, "validate", bad)
+        faults = ["y: empty family", "e: bodies cover 7 of 8 cells (not exhaustive)"]
+        assert code == 1 and err.splitlines() == faults
+        argv = {
+            "infer": ["infer", bad, "--query", "e"],
+            "bench": ["bench", bad],
+            "compress": ["compress", bad, "-o", str(tmp_path / "out.json")],
+        }[verb]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: network failed validation: " + "; ".join(faults) + "\n"
+
+
 class TestInfer:
     def test_posterior_lines(self, capsys, tree_path):
         code, out, _ = run(

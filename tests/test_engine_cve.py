@@ -161,9 +161,9 @@ class TestAbsorb:
         # confactor would also split it on y.
         assert engine.counters.splits == 6
         # each a=true product holds the whole incoming table, summed over b
-        prod = find_confactor(engine.base, cat, "y=true,a=true")
+        prod = find_confactor(engine.items, cat, "y=true,a=true")
         assert cval(cat, prod, "y=true,a=true,e=true,z=true") == pytest.approx(0.4925)
-        assert find_confactor(engine.base, cat, "y=false,a=true") is not None
+        assert find_confactor(engine.items, cat, "y=false,a=true") is not None
         # purity: products into the pure family keep the incoming purity
         assert prod.pure_for == frozenset({cat.index("e")})
 
@@ -184,7 +184,7 @@ class TestAbsorb:
         )
         engine = eliminated(net, "w")
         assert engine.counters.splits == 0
-        created = [r for r in engine.base if r.table.vars == (2,)]
+        created = [r for r in engine.items if r.table.vars == (2,)]
         assert [r.body for r in created] == [Context([(0, 0)]), Context([(0, 1)])]
         np.testing.assert_allclose(created[0].table.array, [0.54, 0.46])
         np.testing.assert_allclose(created[1].table.array, [0.33, 0.67])
@@ -192,7 +192,7 @@ class TestAbsorb:
     def test_completeness_is_preserved(self, tree_net):
         cat = tree_net.catalog
         engine = eliminated(tree_net, "b")
-        out = [r for r in engine.base if cat.index("e") in r.for_vars]
+        out = [r for r in engine.items if cat.index("e") in r.for_vars]
         for r1, r2 in itertools.combinations(out, 2):
             assert not compatible(r1.body, r2.body)
         # counting argument: disjoint bodies must tile the mentioned space
@@ -210,9 +210,9 @@ class TestAbsorb:
 class TestAudit:
     def test_zeroed_working_set_fails_the_audit(self, tree_net):
         engine = eliminated(tree_net, "b")
-        engine.base = [
+        engine.items = [
             Confactor(r.body, Table(r.table.vars, 0 * r.table.array), r.for_vars, r.pure_for)
-            for r in engine.base
+            for r in engine.items
         ]
         with pytest.raises(InvariantError, match="zero"):
             engine._check_invariants()
@@ -223,6 +223,22 @@ class TestAudit:
         engine._reference = Table(ref.vars, 0 * ref.array)
         with pytest.raises(InvariantError, match="zero"):
             engine._check_invariants()
+
+
+    def test_confactor_tracked_for_a_variable_it_does_not_mention(self):
+        # y's bucket is y's own prior; next to it sits a confactor stamped
+        # for y that does not mention y, so the bucket leaves it in the rest.
+        cat = DomainCatalog([("y", ("0", "1")), ("z", ("0", "1"))])
+        y, z = 0, 1
+        prior, uniform = cat.table((y,), [0.3, 0.7]), cat.table((z,), [0.5, 0.5])
+        net = ContextualBeliefNetwork(
+            cat, [[Confactor(Context(), prior)], [Confactor(Context(), uniform)]]
+        )
+        engine = ContextualVE(net)
+        stray = Confactor(Context(), uniform, frozenset({y}))
+        engine.items = [Confactor(Context(), prior, frozenset({y})), stray]
+        with pytest.raises(InvariantError, match="tracked for a variable it does not involve"):
+            engine.eliminate(y)
 
 
 class TestSumOutOps:
@@ -268,8 +284,8 @@ class TestSumOutOps:
         engine = eliminated(tree_net, "d")
         assert len(engine.counters.eliminations[-1].created) == 2
         # d's two members and e's two d-bodies became the two mixtures
-        assert len(engine.base) == len(tree_net.all_confactors()) - 2
-        assert all(r.table.vars for r in engine.base)
+        assert len(engine.items) == len(tree_net.all_confactors()) - 2
+        assert all(r.table.vars for r in engine.items)
 
     def test_group_sum_produces_mixtures(self, tree_net):
         cat = tree_net.catalog
@@ -320,9 +336,9 @@ class TestEliminateReferenceNetworks:
     def eliminate(self, net, var_name, **flags):
         engine = ContextualVE(net, **flags)
         engine.begin()
-        before = {id(r) for r in engine.base}
+        before = {id(r) for r in engine.items}
         engine.eliminate(net.catalog.index(var_name))
-        engine.created = [r for r in engine.base if id(r) not in before]
+        engine.created = [r for r in engine.items if id(r) not in before]
         return engine
 
     def test_eliminating_b_rebuilds_the_four_mixtures(self, tree_net):
@@ -330,20 +346,20 @@ class TestEliminateReferenceNetworks:
         engine = self.eliminate(tree_net, "b")
         created = engine.counters.eliminations[-1]
         assert len(created.created) == 4
-        ay = find_confactor(engine.base, cat, "a=true,y=true")
+        ay = find_confactor(engine.items, cat, "a=true,y=true")
         assert cval(cat, ay, "a=true,e=true,y=true,z=true") == pytest.approx(0.4925)
         assert cval(cat, ay, "a=true,e=true,y=true,z=false") == pytest.approx(0.3425)
         assert cval(cat, ay, "a=true,e=false,y=true,z=true") == pytest.approx(0.5075)
-        any_ = find_confactor(engine.base, cat, "a=true,y=false")
+        any_ = find_confactor(engine.items, cat, "a=true,y=false")
         assert cval(cat, any_, "a=true,e=true,y=false") == pytest.approx(0.3675)
-        dy = find_confactor(engine.base, cat, "a=false,c=false,d=true,y=true")
+        dy = find_confactor(engine.items, cat, "a=false,c=false,d=true,y=true")
         assert cval(
             cat, dy, "a=false,c=false,d=true,e=true,y=true,z=true"
         ) == pytest.approx(0.21475)
         assert cval(
             cat, dy, "a=false,c=false,d=true,e=true,y=true,z=false"
         ) == pytest.approx(0.70975)
-        dny = find_confactor(engine.base, cat, "a=false,c=false,d=true,y=false")
+        dny = find_confactor(engine.items, cat, "a=false,c=false,d=true,y=false")
         assert cval(cat, dny, "a=false,c=false,d=true,e=true,y=false") == pytest.approx(0.62725)
 
     def test_eliminating_b_leaves_no_trivial_confactors(self, tree_net):
@@ -361,11 +377,11 @@ class TestEliminateReferenceNetworks:
     def test_eliminating_d_rebuilds_the_two_mixtures(self, tree_net):
         cat = tree_net.catalog
         engine = self.eliminate(tree_net, "d")
-        z1 = find_confactor(engine.base, cat, "a=false,c=false,z=true")
+        z1 = find_confactor(engine.items, cat, "a=false,c=false,z=true")
         assert cval(cat, z1, "a=false,b=true,c=false,e=true,z=true") == pytest.approx(0.36225)
         assert cval(cat, z1, "a=false,b=false,c=false,e=true,z=true") == pytest.approx(0.6015)
         assert cval(cat, z1, "a=false,b=true,c=false,e=false,z=true") == pytest.approx(0.63775)
-        z0 = find_confactor(engine.base, cat, "a=false,c=false,z=false")
+        z0 = find_confactor(engine.items, cat, "a=false,c=false,z=false")
         assert cval(
             cat, z0, "a=false,b=true,c=false,e=true,y=true,z=false"
         ) == pytest.approx(0.12475)
@@ -384,7 +400,7 @@ class TestEliminateReferenceNetworks:
         engine = self.eliminate(hvac_net, "ot")
         rec = engine.counters.eliminations[-1]
         assert rec.size == 24
-        both = find_confactor(engine.base, cat, "fb=true,mb=true")
+        both = find_confactor(engine.items, cat, "fb=true,mb=true")
         assert set(both.table.vars) == {cat.index(n) for n in ["fh", "mh", "s"]}
         from conftest import HVAC_P as P
 
@@ -392,15 +408,15 @@ class TestEliminateReferenceNetworks:
         assert cval(
             cat, both, "fb=true,mb=true,fh=true,mh=true,s=true"
         ) == pytest.approx(want)
-        fred_only = find_confactor(engine.base, cat, "fb=true,mb=false")
+        fred_only = find_confactor(engine.items, cat, "fb=true,mb=false")
         assert set(fred_only.table.vars) == {cat.index("fh"), cat.index("s")}
-        mary_only = find_confactor(engine.base, cat, "fb=false,mb=true")
+        mary_only = find_confactor(engine.items, cat, "fb=false,mb=true")
         assert set(mary_only.table.vars) == {cat.index("mh"), cat.index("s")}
         # the double-working region contributes nothing new: the original
         # switched conditionals survive untouched
-        assert find_confactor(engine.base, cat, "fb=false") is not None
-        assert find_confactor(engine.base, cat, "mb=false") is not None
-        bodies = [r.body for r in engine.base]
+        assert find_confactor(engine.items, cat, "fb=false") is not None
+        assert find_confactor(engine.items, cat, "mb=false") is not None
+        bodies = [r.body for r in engine.items]
         assert ctx(cat, "fb=false,mb=false") not in bodies
 
 

@@ -177,7 +177,7 @@ class TestGroupSizes:
         engine.eliminate(ot)
         rec = engine.counters.elimination_for(ot)
         assert rec.size == 72
-        merged = [g for g in engine.groups if cat.index("fh") in g.signature]
+        merged = [g for g in engine.items if cat.index("fh") in g.vars]
         assert len(merged) == 1
         group = merged[0]
         fully_coupled = find_confactor(group.members, cat, "fb=false,mb=false")
@@ -202,13 +202,8 @@ class EagerTreeVE(TreeVE):
     of a bucket went lazy.  Every group of the bucket is multiplied in with
     ``tve_multiply`` and ``y`` is summed out of the merged group."""
 
-    def eliminate(self, y):
-        involved = [g for g in self.groups if y in g.signature]
-        rest = [g for g in self.groups if y not in g.signature]
-        if not involved:
-            self.counters.record_elimination(y, (), 0)
-            return
-        merged = self._merge(involved)
+    def step(self, y, bucket, rest):
+        merged = self._merge(bucket)
         members = sum_out_members(
             self.net.catalog,
             [Member(r.body, [r.table], r.for_vars, EMPTY) for r in merged.members],
@@ -216,13 +211,12 @@ class EagerTreeVE(TreeVE):
             self.counters,
         )
         result = GroupedFactor(members)
-        if result.signature:
-            rest.append(result)
-        else:
+        created = [result]
+        if not result.vars:
+            created = []
             for r in result.members:
                 cancels(r.table)
-        self.groups = rest
-        self.counters.record_elimination(y, [r.size for r in members], result.total_size())
+        return created, [r.size for r in members], result.total_size()
 
 
 class TestLazyLastProduct:
@@ -297,7 +291,7 @@ class TestLazyLastProduct:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        (result,) = [g for g in engine.groups if a in g.signature]
+        (result,) = [g for g in engine.items if a in g.vars]
         (member,) = result.members
         assert member.table.size == 1 << 21
         assert engine.counters.max_table_size == 1 << 22

@@ -200,11 +200,11 @@ class ExpandThenSliceVE(TabularVE):
 
     def begin(self, obs=None):
         obs = obs or Context()
-        self.factors = []
+        self.items = []
         for x in self.relevant:
             factor = set_table(self.net.tabular_factor(x), obs)
             if not cancels(factor):
-                self.factors.append(factor)
+                self.items.append(factor)
 
 
 def twin(net):
@@ -314,8 +314,8 @@ class TestEvidenceBlock:
         engine = TabularVE(net)
         engine.begin(obs)
         # a's prior cancels; b's prior and x's factor are left, in that order
-        assert [f.vars for f in engine.factors] == [(b,), (b,)]
-        factor = engine.factors[-1]
+        assert [f.vars for f in engine.items] == [(b,), (b,)]
+        factor = engine.items[-1]
         np.testing.assert_array_equal(factor.array, [0.8, 0.8])
         assert_same_factor(factor, set_table(twin(net).tabular_factor(x), obs))
         posterior = TabularVE(net).query([b], obs)
@@ -335,7 +335,7 @@ class TestEvidenceBlock:
             tracemalloc.stop()
         assert peak < whole / 2
         assert x not in net._tabular_cache
-        (factor,) = [f for f in engine.factors if len(f.vars) > 2]
+        (factor,) = [f for f in engine.items if len(f.vars) > 2]
         assert factor.size == 1 << 20
         assert_same_factor(factor, set_table(twin(net).tabular_factor(x), obs))
 

@@ -14,6 +14,7 @@ from ctxve import (
     DomainCatalog,
     NetworkFormatError,
     ParentSkeleton,
+    Table,
     from_skeleton,
     from_tabular_cpt,
     joint_table,
@@ -56,7 +57,7 @@ def test_scopes_and_sizes_need_no_dense_expansion():
     )
     assert net._tabular_cache == {}
     for x, scope in enumerate(net.scopes):
-        assert scope == tuple(sorted({v for r in net.families[x] for v in r.variables()}))
+        assert scope == tuple(sorted({v for r in net.families[x] for v in r.vars}))
         assert net.tabular_factor(x).vars == scope
     assert net.total_tabular_size() == sum(net.tabular_factor(x).size for x in range(net.n_vars()))
 
@@ -144,6 +145,21 @@ def test_negative_body_value_is_out_of_domain():
         ],
     )
     assert net.validate() == ["b: confactor 0 assigns out-of-domain value to a"]
+
+
+@pytest.mark.parametrize(
+    "body, vars", [(Context([(5, 0)]), (0,)), (Context(), (0, 5))], ids=["body", "table"]
+)
+def test_unknown_variable_id_is_a_fault(body, vars):
+    # Variable 5 is outside the one-variable catalog: its name and domain
+    # are undefined, so it is reported once and checked no further.
+    cat = DomainCatalog([("a", ("t", "f"))])
+    dist = Table(vars, np.full((2,) * len(vars), 0.5))
+    net = ContextualBeliefNetwork(cat, [[Confactor(body, dist)]])
+    assert net.validate() == ["a: confactor 0 mentions unknown variable id 5"]
+    skeleton = ParentSkeleton(0, [(body, [v for v in vars if v != 0])])
+    with pytest.raises(ValueError, match="confactor 0 mentions unknown variable id 5"):
+        from_skeleton(cat, skeleton, [dist])
 
 
 class TestFromTabular:

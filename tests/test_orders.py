@@ -35,7 +35,7 @@ def ancestral_set(net, query_vars, obs):
     """Reference: the query and observed variables and all their ancestors,
     grown to a fixpoint over parent sets read from each family's confactors."""
     parents = [
-        {v for r in fam for v in r.variables()} - {x} for x, fam in enumerate(net.families)
+        {v for r in fam for v in r.vars} - {x} for x, fam in enumerate(net.families)
     ]
     found = set(query_vars) | set(obs.vars())
     while True:
@@ -54,7 +54,7 @@ def rescan_min_size_order(net, query_vars, obs):
     relevant = ancestral_set(net, query_vars, obs)
     scopes = []
     for x in sorted(relevant):
-        scope = {v for r in net.families[x] for v in r.variables()} - set(obs.vars())
+        scope = {v for r in net.families[x] for v in r.vars} - set(obs.vars())
         if scope:
             scopes.append(scope)
     remaining = [v for v in sorted(relevant) if v not in set(query_vars) and v not in obs]
