@@ -135,6 +135,8 @@ def run_campaign(
     the campaign continues.  Returns the records plus the CSV document
     (deterministic for a fixed seed, apart from the time_ms column).
     """
+    if not engines:
+        raise ValueError("no engines to run")
     unknown = [name for name in engines if name not in ENGINES]
     if unknown:
         raise ValueError(f"unknown engines: {unknown}")
@@ -142,6 +144,8 @@ def run_campaign(
         raise ValueError(f"replicates must be at least 1, got {replicates}")
     if queries_per_net < 1:
         raise ValueError(f"queries per network must be at least 1, got {queries_per_net}")
+    if not obs_counts:
+        raise ValueError("no observation counts to run")
     if any(k < 0 for k in obs_counts):
         raise ValueError(f"observation counts must be non-negative, got {list(obs_counts)}")
     rng = SplitMix64(seed)

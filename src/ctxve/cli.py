@@ -78,6 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _items(text: str) -> list[str]:
+    """The items of a comma-separated list, stripped; empty items are dropped."""
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
 def _cmd_validate(args) -> int:
     net = load(args.network, force=True)
     violations = net.validate()
@@ -92,11 +97,11 @@ def _cmd_validate(args) -> int:
 def _cmd_infer(args) -> int:
     net = load(args.network)
     cat = net.catalog
-    query = [cat.index(name.strip()) for name in args.query.split(",") if name.strip()]
+    query = [cat.index(name) for name in _items(args.query)]
     obs = cat.parse_context(args.evidence)
     order = None
     if args.order:
-        order = [cat.index(name.strip()) for name in args.order.split(",")]
+        order = [cat.index(name) for name in _items(args.order)]
     if args.audit and args.engine != "cve":
         raise ValueError(f"--audit checks the cve engine only, not {args.engine}")
     if args.engine == "enum":
@@ -152,14 +157,12 @@ def _cmd_compress(args) -> int:
 
 def _cmd_bench(args) -> int:
     nets = [(path, load(path)) for path in args.networks]
-    obs_counts = [int(x) for x in args.obs_counts.split(",") if x.strip()]
-    engines = [x.strip() for x in args.engines.split(",") if x.strip()]
     records, csv = run_campaign(
         nets,
         queries_per_net=args.queries_per_net,
-        obs_counts=obs_counts,
+        obs_counts=[int(x) for x in _items(args.obs_counts)],
         seed=args.seed,
-        engines=engines,
+        engines=_items(args.engines),
     )
     for rec in records:
         if rec.error is not None:

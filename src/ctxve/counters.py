@@ -2,11 +2,12 @@
 
 Counters are owned by one engine instance for one query; the table algebra
 only increments what it is handed.  ``max_table_size`` tracks the largest
-single table materialized while eliminating; ``max_elim_size`` tracks the
-largest per-elimination size metric, whose meaning is engine-specific (for
-the tabular engine it is the summed size of the tables created during one
-elimination, for the contextual engines it is the total size of the factor
-multisets produced by one elimination).
+single table an engine builds or counts as built: while eliminating,
+intermediates included, and for the tree engine also in ``finish``'s merges.
+``max_elim_size`` tracks the largest per-elimination size metric, whose
+meaning is engine-specific (for the tabular engine it is the summed size of
+the tables created during one elimination, for the contextual engines it is
+the total size of the factor multisets produced by one elimination).
 """
 
 from __future__ import annotations
@@ -16,8 +17,14 @@ from dataclasses import dataclass, field
 
 @dataclass
 class EliminationRecord:
-    """Per-elimination accounting: the sizes of the tables created while
-    eliminating ``variable`` and the engine's size metric for the step."""
+    """Per-elimination accounting: ``created`` sizes and the engine's size
+    metric for eliminating ``variable``.
+
+    ``created`` lists, for the tabular engine, the bucket kernel's
+    intermediate products and its result; for contextual VE, the confactors
+    the step created; for the tree engine, the members of the result group.
+    A contextual or tree step's intermediates reach ``max_table_size`` only.
+    """
 
     variable: int
     created: tuple[int, ...]

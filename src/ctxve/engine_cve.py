@@ -23,7 +23,8 @@ multiplied since leaving Y's family) sum to all-ones tables, so they are
 dropped instead of summed; a group-sum output is dropped only when every
 piece that fed it was pure, because a pure piece can face an impure sibling
 at another value.  This pruning is the one part of the step the tree engine
-never takes: it passes its members with empty purity.
+never takes: it passes its members with empty purity.  A created constant is
+counted, then dropped at once (:func:`~ctxve.posterior.drop_constants`).
 
 Splitting goes through :func:`~ctxve.confactor.split_on_context` and the
 audit's dense expansions through :func:`~ctxve.confactor.tile`.
@@ -48,7 +49,7 @@ from .counters import CostCounters
 from .errors import InvariantError, ZeroEvidenceError
 from .network import ContextualBeliefNetwork, joint_table
 from .orders import Engine
-from .posterior import cancels, extract_posterior
+from .posterior import cancels, drop_constants, extract_posterior
 from .tables import (
     Context,
     DomainCatalog,
@@ -224,7 +225,7 @@ class ContextualVE(Engine):
                 raise InvariantError("confactor tracked for a variable it does not involve")
             if not changed.isdisjoint(c.for_vars):
                 elim_size += c.size
-        return created, [c.size for c in created], elim_size
+        return drop_constants(created), [c.size for c in created], elim_size
 
     def finish(self) -> Table:
         return extract_posterior(self.items, self.net.catalog, self.counters)

@@ -24,9 +24,9 @@ variable, so that product is counted (its multiplications, and each pair's
 size in ``max_table``) but never built.  Apart from the barren families
 that no engine reads (:mod:`ctxve.orders`), nothing is pruned: a lone
 group's members are given empty purity, and a pair's purity intersects to
-empty, as two groups descend from disjoint families.  A result with no
-variables is a constant and is dropped through
-:func:`~ctxve.posterior.cancels`, as the tabular engine drops its scalars.
+empty, as two groups descend from disjoint families.  A result member with
+no variables is a constant, dropped in its step as the tabular engine drops
+its scalars (:func:`~ctxve.posterior.drop_constants`).
 ``finish`` merges what is left eagerly and tiles it densely over its
 variables.
 """
@@ -40,7 +40,7 @@ from .confactor import EMPTY, Confactor, Member, pairwise
 from .engine_cve import incorporate_evidence, sum_out_members
 from .errors import InvariantError
 from .orders import Engine
-from .posterior import cancels, tile_confactors
+from .posterior import drop_constants, tile_confactors
 from .tables import Context, DomainCatalog, Table, VariableId, product
 
 
@@ -53,9 +53,6 @@ class GroupedFactor:
     def __init__(self, members: Sequence[Confactor]):
         self.members = list(members)
         self.vars: frozenset[int] = frozenset({v for r in self.members for v in r.vars})
-
-    def total_size(self) -> int:
-        return sum(r.size for r in self.members)
 
     def fold_key(self, catalog: DomainCatalog) -> tuple[int, list[int]]:
         """The tabular engine's fold order (:func:`~ctxve.tables.fold_key`)
@@ -135,13 +132,9 @@ class TreeVE(Engine):
         else:
             pairs = [Member(r.body, [r.table], r.for_vars, EMPTY) for r in last.members]
         members = sum_out_members(catalog, pairs, y, self.counters)
-        result = GroupedFactor(members)
-        created = [result]
-        if not result.vars:  # a constant: at most one member, its body empty
-            created = []
-            for r in result.members:
-                cancels(r.table)
-        return created, [r.size for r in members], result.total_size()
+        kept = drop_constants(members)
+        sizes = [r.size for r in members]
+        return ([GroupedFactor(kept)] if kept else []), sizes, sum(sizes)
 
     def finish(self) -> Table:
         """Multiply the remaining groups pairwise (the tabular engine's final

@@ -252,6 +252,10 @@ def to_document(net: ContextualBeliefNetwork) -> dict:
     return doc
 
 
+# The Python types of a parsed JSON number; ``bool`` is not one.
+_NUMBERS = frozenset({int, float})
+
+
 def _field(entry, key: str, kind: type, default=None):
     """``entry[key]``, which must be a ``kind``; ``default`` if the key is
     absent and a default is given."""
@@ -292,7 +296,12 @@ def from_document(doc: dict, force: bool = False) -> ContextualBeliefNetwork:
                 where = f"family of {catalog.names[child]!r}, confactor {i}"
                 body = catalog.context(_field(c_entry, "context", dict, {}))
                 vars = tuple(catalog.index(n) for n in _field(c_entry, "vars", list))
-                table = catalog.table(vars, _field(c_entry, "table", list))
+                values = _field(c_entry, "table", list)
+                if not _NUMBERS.issuperset(map(type, values)):
+                    j = next(j for j, x in enumerate(values) if type(x) not in _NUMBERS)
+                    kind = type(values[j]).__name__
+                    raise TypeError(f"table entry {j} must be a number, got {kind}")
+                table = catalog.table(vars, values)
                 families[child].append(Confactor(body, table))
     except (KeyError, TypeError, ValueError) as exc:
         raise NetworkFormatError(f"{where}: {exc}") from None

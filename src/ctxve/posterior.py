@@ -7,7 +7,7 @@ become dense tables here through :func:`~ctxve.confactor.tile`: each
 confactor over a ones background, multiplied out by
 :func:`extract_posterior`, or a mutually exclusive set over zeros
 (:func:`tile_confactors`).  :func:`cancels` is the one rule for the
-constants of proportionality that every answer path drops.
+constants of proportionality that each step drops (:func:`drop_constants`).
 """
 
 from __future__ import annotations
@@ -69,6 +69,12 @@ def cancels(table: Table) -> bool:
     return True
 
 
+def drop_constants(confactors: Iterable[Confactor]) -> list[Confactor]:
+    """The confactors that mention a variable; the others are constants and
+    are dropped through :func:`cancels`, so a zero one raises."""
+    return [r for r in confactors if r.vars or not cancels(r.table)]
+
+
 def normalize_posterior(
     table: Table, query_vars: Sequence[VariableId], catalog: DomainCatalog
 ) -> Posterior:
@@ -96,13 +102,12 @@ def extract_posterior(
 
     Each confactor is tiled over its own variables with 1 outside its body,
     so the product reproduces, entry by entry, the product of the applicable
-    confactors' values.  Confactors with no variables are constants and are
-    dropped (:func:`cancels`).
+    confactors' values.  No confactor is a constant: each was dropped in the
+    step that made it (:func:`drop_constants`).
     """
     expansions = []
     for r in items:
-        if r.body or not cancels(r.table):
-            scope = tuple(sorted(r.vars))
-            expansions.append(Table(scope, tile([r], scope, catalog, 1.0)))
+        scope = tuple(sorted(r.vars))
+        expansions.append(Table(scope, tile([r], scope, catalog, 1.0)))
     acc, _ = multiply_all(expansions, counters)
     return acc

@@ -62,6 +62,11 @@ class DomainCatalog:
             values = tuple(values)
             if not values:
                 raise ValueError(f"variable {name!r} has an empty domain")
+            for label in values:
+                if not isinstance(label, str):
+                    raise TypeError(
+                        f"variable {name!r} has a value label that is not a string: {label!r}"
+                    )
             if len(set(values)) != len(values):
                 raise ValueError(f"variable {name!r} has duplicate value labels")
             by_name[name] = len(names)

@@ -272,6 +272,10 @@ class TestCampaign:
                 run_campaign(self.nets(), queries_per_net=count)
         with pytest.raises(ValueError, match="observation counts"):
             run_campaign(self.nets(), obs_counts=(0, -3))
+        with pytest.raises(ValueError, match="no engines"):
+            run_campaign(self.nets(), engines=())
+        with pytest.raises(ValueError, match="no observation counts"):
+            run_campaign(self.nets(), obs_counts=())
 
     def test_tve_drops_the_constants_ve_drops(self):
         # Eliminating the unconnected roots x4 and x5 and the barren leaf x3

@@ -51,6 +51,16 @@ class TestValidate:
         assert "Traceback" not in err
 
 
+    def test_integer_value_labels_are_one_error_line(self, capsys, tmp_path):
+        bad = tmp_path / "int-labels.json"
+        family = {"child": "a", "confactors": [{"vars": ["a"], "table": [0.5, 0.5]}]}
+        bad.write_text(json.dumps(
+            {"variables": [{"name": "a", "values": [0, 1]}], "families": [family]}
+        ))
+        code, out, err = run(capsys, "infer", str(bad), "--query", "a")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("verb", ["infer", "bench", "compress"])
     def test_invalid_network_is_one_error_line(self, capsys, tree_path, tmp_path, verb):
         # validate prints one line per fault; a verb that loads the network
@@ -133,6 +143,14 @@ class TestInfer:
             )
             assert code == 0
             assert "order=" + ",".join(cat.names[v] for v in default) in err
+
+    def test_empty_list_items_are_dropped(self, capsys, tree_path):
+        code, want, _ = run(capsys, "infer", tree_path, "--query", "e", "--order", "b,d,c,a,y,z")
+        assert code == 0
+        code, out, err = run(
+            capsys, "infer", tree_path, "--query", "e,", "--order", "b,d,c,a,y,z,"
+        )
+        assert (code, out, err) == (0, want, "")
 
     def test_variable_given_twice_in_evidence_is_usage_error(self, capsys, tree_path):
         code, out, err = run(
@@ -334,7 +352,10 @@ class TestGenCompressBench:
     def test_bench_rejects_bad_counts(self, capsys, tmp_path):
         net_path = tmp_path / "bench-net.json"
         run(capsys, "gen", "--n", "7", "--s", "3", "--seed", "5", "-o", str(net_path))
-        for flag in ("--queries-per-net=0", "--queries-per-net=-2", "--obs-counts=-3"):
+        for flag in (
+            "--queries-per-net=0", "--queries-per-net=-2", "--obs-counts=-3",
+            "--obs-counts=", "--engines=", "--engines=,",
+        ):
             code, out, err = run(capsys, "bench", str(net_path), flag)
             assert code == 1, flag
             assert out == "" and err.startswith("error:"), flag

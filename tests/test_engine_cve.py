@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ctxve import (
+    ENGINES,
     Confactor,
     Context,
     ContextualBeliefNetwork,
@@ -18,6 +19,8 @@ from ctxve import (
     ZeroEvidenceError,
     compatible,
     cve_query,
+    from_tabular_cpt,
+    generate_biased_cbn,
     generate_random_cbn,
     incorporate_evidence,
     set_table,
@@ -36,6 +39,7 @@ from conftest import (
     brute_posterior,
     ctx,
     find_confactor,
+    random_evidence,
     table,
 )
 
@@ -142,6 +146,59 @@ class TestEvidence:
             for query in ([0], [1]):
                 with pytest.raises(ZeroEvidenceError, match="probability zero"):
                     answer(net, query, Context())
+
+
+def checks_working_set(cls):
+    """``cls`` asserting after ``begin`` and after every ``eliminate`` that
+    no item of its working set is a constant."""
+
+    class Checked(cls):
+        def begin(self, obs=None):
+            super().begin(obs)
+            assert all(item.vars for item in self.items)
+
+        def eliminate(self, y):
+            super().eliminate(y)
+            assert all(item.vars for item in self.items), self.net.catalog.names[y]
+
+    return Checked
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+class TestConstants:
+    """Every engine drops a constant in the step that makes it."""
+
+    def test_no_working_set_holds_a_constant(self, engine):
+        checked = checks_working_set(ENGINES[engine])
+        net = generate_biased_cbn(GenConfig(n=8, s=4, p=0.3, seed=0))
+        cat = net.catalog
+        # cve once kept a constant of about 0.0453 here after eliminating x2
+        checked(net).query([cat.index("x3")], cat.parse_context("x4=false,x6=true,x7=false"))
+        rng = SplitMix64(7)
+        for seed in range(10):
+            for generate in (generate_random_cbn, generate_biased_cbn):
+                net = generate(GenConfig(n=7, s=3, p=0.3, seed=seed))
+                for _ in range(2):
+                    query = rng.below(net.n_vars())
+                    checked(net).query([query], random_evidence(net, rng, query))
+
+    def test_zero_constant_raises_in_its_step(self, engine):
+        # a, then b given a with P(b=1 | a) = 0, and a root c: observing
+        # b=1 leaves a zero constant once a is eliminated
+        cat = DomainCatalog([(name, ("0", "1")) for name in "abc"])
+        a, b, c = range(3)
+        net = ContextualBeliefNetwork(
+            cat,
+            [
+                from_tabular_cpt(cat, a, [], Table((a,), np.array([0.4, 0.6]))),
+                from_tabular_cpt(cat, b, [a], Table((a, b), np.array([[1.0, 0.0], [1.0, 0.0]]))),
+                from_tabular_cpt(cat, c, [], Table((c,), np.array([0.5, 0.5]))),
+            ],
+        )
+        eng = ENGINES[engine](net)
+        eng.begin(Context([(b, 1)]))
+        with pytest.raises(ZeroEvidenceError, match="probability zero"):
+            eng.eliminate(a)
 
 
 def eliminated(net, var_name):

@@ -31,7 +31,7 @@ from ctxve.confactor import EMPTY, Member
 from ctxve.engine_cve import sum_out_members
 from ctxve.engine_tve import TreeVE
 from ctxve.engine_ve import TabularVE
-from ctxve.posterior import cancels
+from ctxve.posterior import drop_constants
 
 from conftest import (
     T,
@@ -76,7 +76,7 @@ class TestTveMultiply:
         )
         out = tve_multiply(cat, g1, g2)
         assert len(out.members) == 2
-        assert out.total_size() <= out.fold_key(cat)[0]
+        assert sum(r.size for r in out.members) <= out.fold_key(cat)[0]
 
     def test_expansion_matches_dense_product(self):
         # grouped multiply against the dense-product oracle on all
@@ -210,13 +210,9 @@ class EagerTreeVE(TreeVE):
             y,
             self.counters,
         )
-        result = GroupedFactor(members)
-        created = [result]
-        if not result.vars:
-            created = []
-            for r in result.members:
-                cancels(r.table)
-        return created, [r.size for r in members], result.total_size()
+        kept = drop_constants(members)
+        sizes = [r.size for r in members]
+        return ([GroupedFactor(kept)] if kept else []), sizes, sum(sizes)
 
 
 class TestLazyLastProduct:

@@ -318,9 +318,18 @@ class TestRoundTrip:
              "family of 'b', confactor 0: field 'vars' must be a list, got str"),
             (lambda d: d["families"][1]["confactors"][0].update(context={"a": "t"}),
              "family of 'b', confactor 0: body and table share variables"),
+            (lambda d: d["variables"][0].update(values=[0, 1]),
+             "variables: variable 'a' has a value label that is not a string: 0"),
+            (lambda d: d["variables"][1].update(values=["t", None]),
+             "variables: variable 'b' has a value label that is not a string: None"),
+            (lambda d: d["families"][0]["confactors"][0].update(table=[True, False]),
+             "family of 'a', confactor 0: table entry 0 must be a number, got bool"),
+            (lambda d: d["families"][0]["confactors"][0].update(table=["0.3", "0.7"]),
+             "family of 'a', confactor 0: table entry 0 must be a number, got str"),
         ],
         ids=["no-variables", "values-str", "family-int", "confactor-int",
-             "confactors-dict", "vars-str", "body-in-table"],
+             "confactors-dict", "vars-str", "body-in-table", "label-int", "label-null",
+             "entry-bool", "entry-str"],
     )
     def test_malformed_entry_is_named(self, tmp_path, edit, message):
         doc = {
