@@ -11,7 +11,6 @@ networks; the bench module differentially tests and times the engines.
 
 from .confactor import (
     Confactor,
-    applicable,
     count_split_pieces,
     residual,
     split_on_context,
@@ -94,7 +93,6 @@ __all__ = [
     "TreeVE",
     "ZeroEvidenceError",
     "add_tables",
-    "applicable",
     "compatible",
     "compress_family",
     "compress_network",

@@ -26,6 +26,7 @@ from .structure import (
     generate_biased_cbn,
     generate_random_cbn,
 )
+from .tables import split_items
 
 USAGE_ERROR = 1
 INFERENCE_ERROR = 2
@@ -78,11 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _items(text: str) -> list[str]:
-    """The items of a comma-separated list, stripped; empty items are dropped."""
-    return [item.strip() for item in text.split(",") if item.strip()]
-
-
 def _cmd_validate(args) -> int:
     net = load(args.network, force=True)
     violations = net.validate()
@@ -97,11 +93,11 @@ def _cmd_validate(args) -> int:
 def _cmd_infer(args) -> int:
     net = load(args.network)
     cat = net.catalog
-    query = [cat.index(name) for name in _items(args.query)]
+    query = [cat.index(name) for name in split_items(args.query)]
     obs = cat.parse_context(args.evidence)
     order = None
     if args.order:
-        order = [cat.index(name) for name in _items(args.order)]
+        order = [cat.index(name) for name in split_items(args.order)]
     if args.audit and args.engine != "cve":
         raise ValueError(f"--audit checks the cve engine only, not {args.engine}")
     if args.engine == "enum":
@@ -160,9 +156,9 @@ def _cmd_bench(args) -> int:
     records, csv = run_campaign(
         nets,
         queries_per_net=args.queries_per_net,
-        obs_counts=[int(x) for x in _items(args.obs_counts)],
+        obs_counts=[int(x) for x in split_items(args.obs_counts)],
         seed=args.seed,
-        engines=_items(args.engines),
+        engines=split_items(args.engines),
     )
     for rec in records:
         if rec.error is not None:

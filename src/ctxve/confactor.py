@@ -74,17 +74,12 @@ class Confactor:
         return f"Confactor(body={self.body!r}, table={self.table!r})"
 
 
-def applicable(r: Confactor, c: Context) -> bool:
-    """True iff the body of ``r`` is compatible with ``c``."""
-    return compatible(r.body, c)
-
-
 def value_at(r: Confactor, c: Context) -> float:
     """Value of context ``c`` with respect to ``r``.
 
     ``c`` must be compatible with the body and assign every table variable.
     """
-    if not applicable(r, c):
+    if not compatible(r.body, c):
         raise ValueError("confactor not applicable on context")
     idx = []
     for v in r.table.vars:

@@ -9,11 +9,12 @@ counters, which count every pending multiplication as performed eagerly.
 In wall time it is not eager: like the tabular engine, it never builds the
 last product of a bucket.
 
-After evidence the two schedules can part.  Evidence can drop every member
-that mentions a variable; the group's ``vars`` then lose that variable
-while the tabular engine's dense factor keeps it, so the groups fold in
-another order and can cost more multiplications than the tabular engine
-(the strict xfail ``test_evidence_narrowed_groups_pass_the_mults_check``).
+Both engines fold a bucket by :func:`~ctxve.tables.fold_key`, yet after
+evidence their schedules can part.  Evidence can drop every member that
+mentions a variable; the group's ``vars`` and ``size`` then lose that
+variable while the tabular engine's dense factor keeps it, so the groups
+fold in another order and can cost more multiplications than the tabular
+engine (the strict xfail ``test_evidence_narrowed_groups_pass_the_mults_check``).
 
 Groups multiply through :func:`~ctxve.confactor.pairwise` with ``product``.
 Eliminating a variable multiplies its bucket's groups that way up to the
@@ -41,32 +42,30 @@ from .engine_cve import incorporate_evidence, sum_out_members
 from .errors import InvariantError
 from .orders import Engine
 from .posterior import drop_constants, tile_confactors
-from .tables import Context, DomainCatalog, Table, VariableId, product
+from .tables import Context, DomainCatalog, Table, VariableId, fold_key, product
 
 
 class GroupedFactor:
     """A complete confactor set standing in for one tabular factor; ``vars``
-    are the variables its members mention."""
+    are the variables its members mention and ``size`` is the number of
+    entries of the dense factor over them, so :func:`~ctxve.tables.fold_key`
+    orders groups as it orders the tabular engine's tables."""
 
-    __slots__ = ("members", "vars")
+    __slots__ = ("members", "vars", "size")
 
-    def __init__(self, members: Sequence[Confactor]):
+    def __init__(self, members: Sequence[Confactor], catalog: DomainCatalog):
         self.members = list(members)
         self.vars: frozenset[int] = frozenset({v for r in self.members for v in r.vars})
-
-    def fold_key(self, catalog: DomainCatalog) -> tuple[int, list[int]]:
-        """The tabular engine's fold order (:func:`~ctxve.tables.fold_key`)
-        on the dense factor this group stands for."""
-        return math.prod(catalog.size(v) for v in self.vars), sorted(self.vars)
+        self.size = math.prod(catalog.size(v) for v in self.vars)
 
 
-def note_products(catalog: DomainCatalog, sizes: Sequence[int], vars, counters) -> None:
+def note_products(sizes: Sequence[int], dense_size: int, counters) -> None:
     """Note the member products of one grouped multiplication as created
-    tables and check that together they never exceed the size of the dense
-    factor over ``vars``."""
+    tables and check that together they never exceed ``dense_size``, the
+    size of the dense factor they stand for."""
     if counters is not None:
         counters.note_tables(sizes)
-    if sum(sizes) > math.prod(catalog.size(v) for v in vars):
+    if sum(sizes) > dense_size:
         raise InvariantError("grouped factor exceeds its dense factor size")
 
 
@@ -84,8 +83,8 @@ def tve_multiply(
     again and its total table size never exceeds the size of the
     corresponding dense factor.
     """
-    result = GroupedFactor(pairwise(g1.members, g2.members, product, counters))
-    note_products(catalog, [r.size for r in result.members], result.vars, counters)
+    result = GroupedFactor(pairwise(g1.members, g2.members, product, counters), catalog)
+    note_products([r.size for r in result.members], result.size, counters)
     return result
 
 
@@ -104,13 +103,13 @@ class TreeVE(Engine):
         for x in self.relevant:
             members = incorporate_evidence(self.net.families[x], obs)
             if members:
-                self.items.append(GroupedFactor(members))
+                self.items.append(GroupedFactor(members, self.net.catalog))
 
     def _merge(self, groups: Sequence[GroupedFactor]) -> GroupedFactor:
         """Multiply groups pairwise in the tabular engine's order: ascending
         by the size of the dense factor each group stands for."""
         catalog = self.net.catalog
-        ordered = sorted(groups, key=lambda g: g.fold_key(catalog))
+        ordered = sorted(groups, key=fold_key)
         merged = ordered[0]
         for g in ordered[1:]:
             merged = tve_multiply(catalog, merged, g, self.counters)
@@ -118,7 +117,7 @@ class TreeVE(Engine):
 
     def step(self, y: VariableId, bucket: list[GroupedFactor], rest: list[GroupedFactor]) -> tuple:
         catalog = self.net.catalog
-        *head, last = sorted(bucket, key=lambda g: g.fold_key(catalog))
+        *head, last = sorted(bucket, key=fold_key)
         if head:
             # The bucket's last product stays lazy: sum_out_members contracts
             # each pair over y.  It is counted as if built.
@@ -128,13 +127,14 @@ class TreeVE(Engine):
                 math.prod(catalog.size(v) for v in {*m.tables[0].vars, *m.tables[1].vars})
                 for m in pairs
             ]
-            note_products(catalog, sizes, merged.vars | last.vars, self.counters)
+            dense_size = math.prod(catalog.size(v) for v in merged.vars | last.vars)
+            note_products(sizes, dense_size, self.counters)
         else:
             pairs = [Member(r.body, [r.table], r.for_vars, EMPTY) for r in last.members]
         members = sum_out_members(catalog, pairs, y, self.counters)
         kept = drop_constants(members)
         sizes = [r.size for r in members]
-        return ([GroupedFactor(kept)] if kept else []), sizes, sum(sizes)
+        return ([GroupedFactor(kept, catalog)] if kept else []), sizes, sum(sizes)
 
     def finish(self) -> Table:
         """Multiply the remaining groups pairwise (the tabular engine's final

@@ -6,10 +6,10 @@ subclass's steps: ``begin(obs)`` substitutes the evidence into the relevant
 families to fill the working set ``items``, the one elimination loop
 :meth:`Engine.eliminate` removes each variable of the order through the
 engine's ``step(y, bucket, rest)``, and ``finish()`` multiplies what is left
-into one unnormalized table.
-``query()`` then checks that this table ranges over exactly the query
-variables (else :class:`~ctxve.errors.InvariantError`) and normalizes it:
-that answer step is the same for every engine.
+into one unnormalized table.  ``query()`` then normalizes it through
+:func:`~ctxve.posterior.normalize_posterior`, which first checks that it
+ranges over exactly the query variables: that answer step is the same for
+every engine.
 A query must be non-empty, name existing variables, repeat none and observe
 none, and the evidence must assign existing variables values inside their
 domains; any other query raises ``ValueError`` before any work is done.
@@ -49,7 +49,7 @@ import math
 from typing import Optional, Sequence
 
 from .counters import CostCounters
-from .errors import InvariantError, ZeroEvidenceError
+from .errors import ZeroEvidenceError
 from .network import ContextualBeliefNetwork
 from .posterior import Posterior, normalize_posterior
 from .tables import Context, VariableId
@@ -126,12 +126,7 @@ class Engine:
         self.begin(obs)
         for y in self.order:
             self.eliminate(y)
-        table = self.finish()
-        if set(table.vars) != set(query):
-            raise InvariantError(
-                f"answer is over {sorted(table.vars)}, not the query {sorted(query)}"
-            )
-        return normalize_posterior(table, query, self.net.catalog)
+        return normalize_posterior(self.finish(), query, self.net.catalog)
 
 
 def check_query(

@@ -1,8 +1,9 @@
 """Posterior distributions and shared answer-extraction machinery.
 
 Each engine's ``finish()`` builds one unnormalized table over the query;
-:meth:`~ctxve.orders.Engine.query` checks its variables and hands it to
-:func:`normalize_posterior`, which ``enum_query`` also uses.  Confactors
+:meth:`~ctxve.orders.Engine.query` hands it to :func:`normalize_posterior`,
+which ``enum_query`` also uses, and which checks that the table ranges over
+exactly the query variables before it normalizes.  Confactors
 become dense tables here through :func:`~ctxve.confactor.tile`: each
 confactor over a ones background, multiplied out by
 :func:`extract_posterior`, or a mutually exclusive set over zeros
@@ -18,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .confactor import Confactor, tile
-from .errors import ZeroEvidenceError
+from .errors import InvariantError, ZeroEvidenceError
 from .tables import (
     DomainCatalog,
     Table,
@@ -78,7 +79,13 @@ def drop_constants(confactors: Iterable[Confactor]) -> list[Confactor]:
 def normalize_posterior(
     table: Table, query_vars: Sequence[VariableId], catalog: DomainCatalog
 ) -> Posterior:
-    ordered = reorder(table, tuple(sorted(query_vars)))
+    """``table`` in ascending variable id, divided by its sum.  An
+    :class:`InvariantError` unless it ranges over exactly ``query_vars``; a
+    :class:`ZeroEvidenceError` unless its sum is positive and finite."""
+    query = sorted(query_vars)
+    if set(table.vars) != set(query):
+        raise InvariantError(f"answer is over {sorted(table.vars)}, not the query {query}")
+    ordered = reorder(table, tuple(query))
     total = float(ordered.array.sum())
     if total <= 0.0 or not np.isfinite(total):
         raise ZeroEvidenceError("evidence has probability zero")

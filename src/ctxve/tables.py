@@ -43,6 +43,11 @@ VariableId = int
 OPTIMIZE_ABOVE = 1 << 13
 
 
+def split_items(text: str) -> list[str]:
+    """The items of a comma-separated list, stripped; empty items are dropped."""
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
 class DomainCatalog:
     """Named discrete variables with finite, ordered value lists.
 
@@ -121,13 +126,11 @@ class DomainCatalog:
         return Context(items)
 
     def parse_context(self, text: str) -> "Context":
-        """Parse ``"a=true,b=false"`` into a context; empty text is the empty
-        context, and a variable given twice is a ``ValueError``."""
-        text = text.strip()
-        if not text:
-            return Context()
+        """Parse ``"a=true,b=false"`` into a context; empty items are dropped
+        (:func:`split_items`), so empty text is the empty context, and a
+        variable given twice is a ``ValueError``."""
         pairs = {}
-        for chunk in text.split(","):
+        for chunk in split_items(text):
             if "=" not in chunk:
                 raise ValueError(f"expected name=value, got {chunk!r}")
             name, label = (part.strip() for part in chunk.split("=", 1))
@@ -343,12 +346,11 @@ def sum_out(f: Table, y: VariableId, counters=None) -> Table:
 
 
 def reorder(table: Table, vars: Sequence[VariableId]) -> Table:
-    """Same table with its axes permuted into the given variable order."""
+    """Same table with its axes permuted into the given variable order,
+    which must list the same variables."""
     vars = tuple(vars)
     if table.vars == vars:
         return table
-    if set(table.vars) != set(vars):
-        raise ValueError("reorder must keep the same variable set")
     perm = [table.vars.index(v) for v in vars]
     return Table(vars, np.transpose(table.array, perm))
 
@@ -356,7 +358,8 @@ def reorder(table: Table, vars: Sequence[VariableId]) -> Table:
 def fold_key(t: Table) -> tuple[int, list[VariableId]]:
     """The fold order of :func:`multiply_all`: ascending size, ties to the
     lower sorted scope, so that the order (and the multiplication count)
-    depends on the tables alone, never on the order they are listed in."""
+    depends on the tables alone, never on the order they are listed in.
+    The tree engine's groups, with the same ``size`` and ``vars``, sort by it."""
     return t.size, sorted(t.vars)
 
 

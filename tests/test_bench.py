@@ -251,7 +251,8 @@ class TestCampaign:
     @pytest.mark.xfail(
         strict=True,
         raises=RuntimeError,
-        reason="tve orders its merges by signature size, not by ve's dense sizes",
+        reason="tve sorts its merges by tables.fold_key on the groups' vars, "
+        "not on ve's dense scopes",
     )
     def test_evidence_narrowed_groups_pass_the_mults_check(self):
         # Query x6 with x2 and x8 observed: observing x2 drops every member

@@ -151,6 +151,12 @@ class TestInfer:
             capsys, "infer", tree_path, "--query", "e,", "--order", "b,d,c,a,y,z,"
         )
         assert (code, out, err) == (0, want, "")
+        code, want, _ = run(capsys, "infer", tree_path, "--query", "e", "--evidence", "d=true")
+        assert code == 0
+        code, out, err = run(
+            capsys, "infer", tree_path, "--query", "e", "--evidence", "d=true,"
+        )
+        assert (code, out, err) == (0, want, "")
 
     def test_variable_given_twice_in_evidence_is_usage_error(self, capsys, tree_path):
         code, out, err = run(

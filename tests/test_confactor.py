@@ -12,7 +12,6 @@ from ctxve import (
     DomainCatalog,
     SplitMix64,
     Table,
-    applicable,
     compatible,
     count_split_pieces,
     residual,
@@ -47,15 +46,15 @@ def split(cat, r, c):
 class TestApplicability:
     def test_body_subset_of_context(self, cat):
         r = conf(cat, "a=true", ["b", "e"], [0.55, 0.45, 0.3, 0.7])
-        assert applicable(r, ctx(cat, "a=true,y=true"))
+        assert compatible(r.body, ctx(cat, "a=true,y=true"))
 
     def test_body_clash(self, cat):
         r = conf(cat, "a=false,c=true", ["e"], [0.08, 0.92])
-        assert not applicable(r, ctx(cat, "a=true"))
+        assert not compatible(r.body, ctx(cat, "a=true"))
 
     def test_longer_body_against_full_context(self, cat):
         r = conf(cat, "a=false,c=false,d=true", ["b", "e"], [0.025, 0.975, 0.85, 0.15])
-        assert applicable(r, ctx(cat, "a=false,b=false,c=false,d=true"))
+        assert compatible(r.body, ctx(cat, "a=false,b=false,c=false,d=true"))
 
     def test_value_lookup(self, cat):
         r = conf(cat, "a=true", ["b", "e"], [0.55, 0.45, 0.3, 0.7])
@@ -221,7 +220,7 @@ class TestPartition:
             full = Context(list(enumerate(combo)))
             if not compatible(r.body, full):
                 continue
-            hits = [p for p in pieces if applicable(p, full)]
+            hits = [p for p in pieces if compatible(p.body, full)]
             assert len(hits) == 1
             assert value_at(hits[0], full) == pytest.approx(value_at(r, full))
         for p1, p2 in itertools.combinations(pieces, 2):

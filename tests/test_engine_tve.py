@@ -49,9 +49,11 @@ class TestTveMultiply:
         cat = tree_net.catalog
         g1 = GroupedFactor(
             [Confactor(Context(), table(cat, ["b", "e"], [0.55, 0.45, 0.3, 0.7]))],
+            cat,
         )
         g2 = GroupedFactor(
             [Confactor(Context(), table(cat, ["b", "z"], [0.77, 0.17, 0.23, 0.83]))],
+            cat,
         )
         out = tve_multiply(cat, g1, g2)
         assert len(out.members) == 1
@@ -67,16 +69,18 @@ class TestTveMultiply:
                 Confactor(ctx(cat, "a=true"), table(cat, ["e"], [0.3, 0.7])),
                 Confactor(ctx(cat, "a=false"), table(cat, ["e"], [0.6, 0.4])),
             ],
+            cat,
         )
         g2 = GroupedFactor(
             [
                 Confactor(ctx(cat, "a=true"), table(cat, ["z"], [0.2, 0.8])),
                 Confactor(ctx(cat, "a=false"), table(cat, ["z"], [0.9, 0.1])),
             ],
+            cat,
         )
         out = tve_multiply(cat, g1, g2)
         assert len(out.members) == 2
-        assert sum(r.size for r in out.members) <= out.fold_key(cat)[0]
+        assert sum(r.size for r in out.members) <= out.size
 
     def test_expansion_matches_dense_product(self):
         # grouped multiply against the dense-product oracle on all
@@ -93,12 +97,14 @@ class TestTveMultiply:
                 Confactor(Context([(p, 0)]), cat.table((q, r), rnd(4))),
                 Confactor(Context([(p, 1)]), cat.table((q,), rnd(2))),
             ],
+            cat,
         )
         g2 = GroupedFactor(
             [
                 Confactor(Context([(q, 0)]), cat.table((p, s), rnd(4))),
                 Confactor(Context([(q, 1)]), cat.table((s,), rnd(2))),
             ],
+            cat,
         )
         out = tve_multiply(cat, g1, g2)
 
@@ -212,7 +218,7 @@ class EagerTreeVE(TreeVE):
         )
         kept = drop_constants(members)
         sizes = [r.size for r in members]
-        return ([GroupedFactor(kept)] if kept else []), sizes, sum(sizes)
+        return ([GroupedFactor(kept, self.net.catalog)] if kept else []), sizes, sum(sizes)
 
 
 class TestLazyLastProduct:

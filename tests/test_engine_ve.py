@@ -11,6 +11,7 @@ from ctxve import (
     ContextualBeliefNetwork,
     DomainCatalog,
     GenConfig,
+    InvariantError,
     ParentSkeleton,
     SplitMix64,
     Table,
@@ -26,7 +27,7 @@ from ctxve import (
 )
 from ctxve.engine_ve import TabularVE
 from ctxve.orders import relevant_variables
-from ctxve.posterior import cancels
+from ctxve.posterior import cancels, normalize_posterior
 
 from conftest import brute_posterior, contextual_mixed_network, ctx, random_evidence
 
@@ -97,6 +98,29 @@ class TestCancels:
     def test_zero_constant_raises(self):
         with pytest.raises(ZeroEvidenceError, match="probability zero"):
             cancels(Table.scalar(0.0))
+
+
+class TestAnswerCheck:
+    """An answer over other variables than the query's is an engine fault,
+    caught by the one answer step every engine and ``enum_query`` share."""
+
+    def test_query_rejects_an_answer_over_a_non_query_variable(self, tree_net):
+        a, e = tree_net.catalog.index("a"), tree_net.catalog.index("e")
+
+        class OffQueryVE(TabularVE):
+            def finish(self):
+                return Table((a,), np.array([0.3, 0.7]))
+
+        want = rf"answer is over \[{a}\], not the query \[{e}\]"
+        with pytest.raises(InvariantError, match=want):
+            OffQueryVE(tree_net).query([e])
+
+    def test_normalize_posterior_rejects_a_table_over_other_variables(self, tree_net):
+        cat = tree_net.catalog
+        a, e = cat.index("a"), cat.index("e")
+        want = rf"answer is over \[{a}, {e}\], not the query \[{e}\]"
+        with pytest.raises(InvariantError, match=want):
+            normalize_posterior(Table((e, a), np.ones((2, 2))), [e], cat)
 
 
 class TestQueries:

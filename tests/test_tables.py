@@ -72,6 +72,10 @@ class TestContext:
         with pytest.raises(IncompatibleContextsError, match="incompatible contexts"):
             context_union(ctx(cat, "a=true"), ctx(cat, "a=false"))
 
+    def test_parse_context_drops_empty_items(self, cat):
+        assert cat.parse_context("a=true,") == cat.parse_context("a=true")
+        assert cat.parse_context(",") == Context()
+
 
 # A context against a plain-dict model: small variable ids and values, so
 # that clashes and shared variables are common.
