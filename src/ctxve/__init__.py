@@ -12,7 +12,6 @@ networks; the bench module differentially tests and times the engines.
 from .confactor import (
     Confactor,
     count_split_pieces,
-    residual,
     split_on_context,
     value_at,
 )
@@ -24,7 +23,7 @@ from .engine_cve import (
     sum_out_body_occurrences,
 )
 from .engine_tve import GroupedFactor, TreeVE, tve_multiply, tve_query
-from .engine_ve import TabularVE, multiply_factors, ve_query
+from .engine_ve import TabularVE, ve_query
 from .errors import (
     CtxveError,
     IncompatibleContextsError,
@@ -108,9 +107,7 @@ __all__ = [
     "joint_table",
     "load",
     "min_size_order",
-    "multiply_factors",
     "product",
-    "residual",
     "run_campaign",
     "save",
     "set_table",

@@ -140,6 +140,9 @@ def run_campaign(
     unknown = [name for name in engines if name not in ENGINES]
     if unknown:
         raise ValueError(f"unknown engines: {unknown}")
+    repeated = sorted({name for name in engines if engines.count(name) > 1})
+    if repeated:
+        raise ValueError(f"repeated engines: {repeated}")
     if replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
     if queries_per_net < 1:

@@ -193,7 +193,7 @@ def main(argv=None) -> int:
     except (ZeroEvidenceError, InvariantError) as exc:
         print(f"inference error: {exc}", file=sys.stderr)
         return INFERENCE_ERROR
-    except (CtxveError, ValueError, KeyError, OSError) as exc:
+    except (CtxveError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

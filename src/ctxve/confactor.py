@@ -162,26 +162,21 @@ def split_on_context(
     tables: list[Table],
     c: Context,
     counters=None,
-    split_order: Optional[Sequence[VariableId]] = None,
 ) -> tuple[list[tuple[Context, list[Table]]], tuple[Context, list[Table]]]:
     """Split the piece ``(body, tables)`` on each variable ``c`` assigns and
     ``body`` does not; ``tables`` is a lazy product sharing one body.
 
     Each split on ``v`` replaces the current piece by one piece per value of
     ``v``: the body gains ``v = value`` and every table is sliced at it.  The
-    piece matching ``c`` is split further; the others are residuals.  By
-    default variables occurring in a table come first (splitting them
-    shrinks the tables that later splits copy), then the rest, both in
-    ascending id.  Returns the residual pieces and the kept piece.
+    piece matching ``c`` is split further; the others are residuals.
+    Variables occurring in a table come first (splitting them shrinks the
+    tables that later splits copy), then the rest, both in ascending id;
+    one call per variable, each on the piece the last one kept, gives any
+    other order.  Returns the residual pieces and the kept piece.
     """
     todo = [v for v in c.vars() if v not in body]
-    if split_order is None:
-        in_table = {v for t in tables for v in t.vars}
-        order = [v for v in todo if v in in_table] + [v for v in todo if v not in in_table]
-    else:
-        order = list(split_order)
-        if sorted(order) != todo:
-            raise ValueError("split order must cover exactly the new variables of the context")
+    in_table = {v for t in tables for v in t.vars}
+    order = [v for v in todo if v in in_table] + [v for v in todo if v not in in_table]
     residuals: list[tuple[Context, list[Table]]] = []
     for v in order:
         target = c.get(v)
@@ -197,25 +192,6 @@ def split_on_context(
                 residuals.append(piece)
         body, tables = kept
     return residuals, (body, tables)
-
-
-def residual(
-    catalog: DomainCatalog,
-    r: Confactor,
-    c: Context,
-    counters=None,
-    split_order: Optional[Sequence[VariableId]] = None,
-) -> list[Confactor]:
-    """The split pieces of ``r`` whose bodies are incompatible with ``c``.
-
-    Produced by splitting sequentially on each variable of ``c`` not yet
-    assigned in the body; together with the kept piece of
-    :func:`split_on_context` the pieces partition the coverage of ``r``.
-    """
-    if not compatible(r.body, c):
-        raise ValueError("incompatible contexts")
-    residuals, _ = split_on_context(catalog, r.body, [r.table], c, counters, split_order)
-    return [Confactor(body, t, r.for_vars, r.pure_for) for body, (t,) in residuals]
 
 
 def count_split_pieces(catalog: DomainCatalog, r: Confactor, c: Context) -> int:

@@ -19,7 +19,7 @@ always costs one multiplication per entry of its result, built or not).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from .orders import Engine
 from .posterior import cancels
@@ -29,33 +29,7 @@ from .tables import (
     VariableId,
     multiply_all,
     multiply_all_sum_out,
-    product,
 )
-
-
-def multiply_factors(
-    factors: Sequence[Table], policy: str = "left"
-) -> tuple[Table, int]:
-    """Product of a factor list under an explicit multiplication policy.
-
-    Policies: ``"left"`` folds in list order, ``"right"`` folds from the end,
-    and ``"recompute"`` recomputes every partial product instead of saving
-    intermediates (costing ``(k-1)`` multiplications per entry of the final
-    product).  The product itself does not depend on the policy; the
-    multiplication count does.
-    """
-    if not factors:
-        raise ValueError("nothing to multiply")
-    if policy not in ("left", "right", "recompute"):
-        raise ValueError(f"unknown policy: {policy!r}")
-    ordered = list(reversed(factors)) if policy == "right" else factors
-    acc, count = ordered[0], 0
-    for t in ordered[1:]:
-        acc = product(acc, t)
-        count += acc.size
-    if policy == "recompute":
-        count = (len(factors) - 1) * acc.size
-    return acc, count
 
 
 class TabularVE(Engine):

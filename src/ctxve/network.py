@@ -303,7 +303,7 @@ def from_document(doc: dict, force: bool = False) -> ContextualBeliefNetwork:
                     raise TypeError(f"table entry {j} must be a number, got {kind}")
                 table = catalog.table(vars, values)
                 families[child].append(Confactor(body, table))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise NetworkFormatError(f"{where}: {exc}") from None
     missing = [catalog.names[x] for x in range(len(catalog)) if x not in seen_children]
     if missing:

@@ -91,13 +91,13 @@ class DomainCatalog:
         try:
             return self._by_name[name]
         except KeyError:
-            raise KeyError(f"unknown variable: {name!r}") from None
+            raise ValueError(f"unknown variable: {name!r}") from None
 
     def value_index(self, var: VariableId, label: str) -> int:
         try:
             return self.domains[var].index(label)
         except ValueError:
-            raise KeyError(
+            raise ValueError(
                 f"unknown value {label!r} for variable {self.names[var]!r}"
             ) from None
 

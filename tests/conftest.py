@@ -19,6 +19,7 @@ from ctxve import (
     enum_query,
     from_skeleton,
     from_tabular_cpt,
+    split_on_context,
 )
 
 BOOL = ("true", "false")
@@ -32,6 +33,19 @@ def ctx(catalog: DomainCatalog, text: str) -> Context:
 def table(catalog: DomainCatalog, names: list[str], values) -> Table:
     vars = tuple(catalog.index(n) for n in names)
     return catalog.table(vars, values)
+
+
+def residual(catalog: DomainCatalog, r: Confactor, c: Context, counters=None, order=None):
+    """The split pieces of ``r`` whose bodies conflict with ``c``, as
+    confactors: one :func:`split_on_context` call on ``c``, or, given an
+    ``order`` of the variables ``c`` adds to the body, one call per variable,
+    each on the piece the last call kept."""
+    steps = [c] if order is None else [Context([(v, c.get(v))]) for v in order]
+    body, tables, pieces = r.body, [r.table], []
+    for step in steps:
+        residuals, (body, tables) = split_on_context(catalog, body, tables, step, counters)
+        pieces += residuals
+    return [Confactor(b, t, r.for_vars, r.pure_for) for b, (t,) in pieces]
 
 
 def tree_catalog() -> DomainCatalog:

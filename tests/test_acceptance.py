@@ -13,6 +13,7 @@ from ctxve import (
     Confactor,
     CompressionConfig,
     Context,
+    CostCounters,
     DomainCatalog,
     GenConfig,
     SplitMix64,
@@ -23,8 +24,7 @@ from ctxve import (
     enum_query,
     generate_biased_cbn,
     generate_random_cbn,
-    multiply_factors,
-    residual,
+    product,
     run_campaign,
     tve_query,
     ve_query,
@@ -32,11 +32,13 @@ from ctxve import (
 from ctxve.engine_cve import ContextualVE
 from ctxve.engine_tve import TreeVE
 from ctxve.engine_ve import TabularVE
+from ctxve.tables import multiply_all
 
 from conftest import (
     ctx,
     find_confactor,
     hvac_network,
+    residual,
     tree_network,
     wide_network,
 )
@@ -166,7 +168,9 @@ def test_criterion_4_lazy_multiplication_counts():
 
 def test_criterion_5_multiplication_order_policies():
     """Saving intermediates left-to-right, right-to-left, and recomputing
-    everything cost exactly 12000, 8008 and 16000 multiplications."""
+    everything cost exactly 12000, 8008 and 16000 multiplications, counted
+    by ``product``; ``multiply_all``, the fold of every bucket, takes the
+    8008 order."""
     with timed(2.0):
         cat = DomainCatalog(
             [("a", tuple(f"v{i}" for i in range(1000)))]
@@ -182,12 +186,18 @@ def test_criterion_5_multiplication_order_policies():
             return Table(vars, arr / arr.sum(axis=len(vars) - 1, keepdims=True))
 
         p_ba, p_cb, p_db = cpt((0, 1)), cpt((1, 2)), cpt((1, 3))
-        _, left = multiply_factors([p_ba, p_cb, p_db], policy="left")
-        _, right = multiply_factors([p_ba, p_cb, p_db], policy="right")
-        _, recompute = multiply_factors([p_ba, p_cb, p_db], policy="recompute")
+
+        def mults(fold):
+            counters = CostCounters()
+            return fold(counters), counters.multiplications
+
+        _, left = mults(lambda k: product(product(p_ba, p_cb, k), p_db, k))
+        final, right = mults(lambda k: product(product(p_db, p_cb, k), p_ba, k))
+        _, bucket = mults(lambda k: multiply_all([p_ba, p_cb, p_db], k))
         assert left == 12000
         assert right == 8008
-        assert recompute == 16000
+        assert (3 - 1) * final.size == 16000  # recompute every partial product
+        assert bucket == 8008  # every bucket's fold saves the cheap intermediate
 
 
 def test_criterion_6_engine_equivalence_property():
@@ -237,7 +247,8 @@ def test_criterion_6_engine_equivalence_property():
 def test_criterion_7_split_piece_count_property():
     """1000 random confactor/context pairs over mixed domains of size 2-4:
     the residual count equals the sum of (domain-1) over the fresh variables
-    for every split order tried."""
+    for every split order tried, each order one ``split_on_context`` call
+    per variable (``conftest.residual``)."""
     with timed(5.0):
         rng = SplitMix64(777)
         for trial in range(1000):
@@ -276,7 +287,7 @@ def test_criterion_7_split_piece_count_property():
                     shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
                 orders.append(shuffled)
             for order in orders:
-                pieces = residual(cat, r, target, split_order=order)
+                pieces = residual(cat, r, target, order=order)
                 assert len(pieces) == expected
 
 

@@ -1,6 +1,7 @@
 """Enumeration oracle and the benchmark campaign plumbing."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -98,22 +99,23 @@ def test_every_path_rejects_the_same_bad_queries():
 
 def test_every_engine_rejects_the_same_bad_orders():
     # unknown ids (above and below the range), a repeat, an eliminated query
-    # variable and an order that leaves a relevant variable out.  x2's
-    # ancestors are x0 and x1; the roots x3 and x4 are barren for it.
+    # or observed variable and an order that leaves a relevant variable out.
+    # x2's ancestors are x0 and x1; the roots x3 and x4 are barren for it.
     net = generate_random_cbn(GenConfig(n=5, s=2, seed=1))
     good = min_size_order(net, [2])
     assert sorted(good) == [0, 1]
     cases = [
-        (good + [99, -3], "unknown order variable ids: \\[99, -3\\]"),
-        (good + [good[0]], "duplicates"),
-        (good + [2], "query variable"),
-        (good[1:], "does not cover"),
+        (good + [99, -3], None, "unknown order variable ids: \\[99, -3\\]"),
+        (good + [good[0]], None, "duplicates"),
+        (good + [2], None, "query variable"),
+        (good, Context([(0, 1)]), f"order eliminates observed variable {net.catalog.names[0]}$"),
+        (good[1:], None, "does not cover"),
     ]
-    for order, pattern in cases:
+    for order, obs, pattern in cases:
         for name, cls in ENGINES.items():
             engine = cls(net)
             with pytest.raises(ValueError, match=pattern) as info:
-                engine.query([2], None, order)
+                engine.query([2], obs, order)
             assert type(info.value) is ValueError, name
             assert engine.counters.eliminations == [], name
 
@@ -266,6 +268,8 @@ class TestCampaign:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="unknown engines"):
             run_campaign(self.nets(), engines=("ve", "nope"))
+        with pytest.raises(ValueError, match=re.escape("repeated engines: ['cve', 've']")):
+            run_campaign(self.nets(), engines=("ve", "cve", "ve", "tve", "cve"))
         with pytest.raises(ValueError, match="replicates must be at least 1"):
             run_campaign(self.nets(), replicates=0)
         for count in (0, -2):

@@ -200,9 +200,10 @@ class TestInfer:
         assert "--query" in out
 
     def test_unknown_variable_is_usage_error(self, capsys, tree_path):
-        code, _, err = run(capsys, "infer", tree_path, "--query", "nope")
-        assert code == 1
-        assert "nope" in err
+        for argv in (["--query", "nope"], ["--query", "e", "--order", "nope"]):
+            code, out, err = run(capsys, "infer", tree_path, *argv)
+            assert code == 1 and out == "", argv
+            assert err == "error: unknown variable: 'nope'\n", argv
 
     def test_zero_probability_evidence_is_inference_error(self, capsys, tmp_path):
         from ctxve import Confactor, Context, ContextualBeliefNetwork, DomainCatalog
@@ -257,10 +258,14 @@ class TestGenCompressBench:
 
     def test_impossible_split_budget_is_usage_error(self, capsys, tmp_path):
         out_path = tmp_path / "x.json"
-        code, out, err = run(capsys, "gen", "--n", "1", "--s", "1", "-o", str(out_path))
-        assert code == USAGE_ERROR
-        assert out == "" and err == "error: split budget cannot be met for these parameters\n"
-        assert not out_path.exists()
+        for argv, message in [
+            (["--n", "1", "--s", "1"], "split budget cannot be met for these parameters"),
+            (["--n", "0"], "n must be at least 1"),
+        ]:
+            code, out, err = run(capsys, "gen", *argv, "-o", str(out_path))
+            assert code == USAGE_ERROR
+            assert out == "" and err == f"error: {message}\n"
+            assert not out_path.exists()
 
     def test_compress_produces_smaller_valid_network(self, capsys, tmp_path, tree_path):
         # first expand the tree network to dense families
@@ -288,6 +293,11 @@ class TestGenCompressBench:
         assert compressed.validate() == []
         assert compressed.total_confactor_size() < load(dense_path).total_confactor_size()
         assert "e: 32 -> 12" in report_path.read_text()
+        code, out, err = run(
+            capsys, "compress", str(dense_path), "--threshold", "2", "-o", str(out_path)
+        )
+        assert code == USAGE_ERROR
+        assert out == "" and err == "error: threshold must be in (0, 1)\n"
 
     def test_bench_writes_csv(self, capsys, tmp_path):
         net_path = tmp_path / "bench-net.json"
@@ -358,10 +368,16 @@ class TestGenCompressBench:
     def test_bench_rejects_bad_counts(self, capsys, tmp_path):
         net_path = tmp_path / "bench-net.json"
         run(capsys, "gen", "--n", "7", "--s", "3", "--seed", "5", "-o", str(net_path))
-        for flag in (
-            "--queries-per-net=0", "--queries-per-net=-2", "--obs-counts=-3",
-            "--obs-counts=", "--engines=", "--engines=,",
-        ):
-            code, out, err = run(capsys, "bench", str(net_path), flag)
+        # --obs-counts=0 first, so that only the flag under test is bad
+        for flag, message in [
+            ("--queries-per-net=0", "queries per network must be at least 1, got 0"),
+            ("--queries-per-net=-2", "queries per network must be at least 1, got -2"),
+            ("--obs-counts=-3", "observation counts must be non-negative, got [-3]"),
+            ("--obs-counts=", "no observation counts to run"),
+            ("--engines=", "no engines to run"),
+            ("--engines=,", "no engines to run"),
+            ("--engines=ve,ve", "repeated engines: ['ve']"),
+        ]:
+            code, out, err = run(capsys, "bench", str(net_path), "--obs-counts=0", flag)
             assert code == 1, flag
-            assert out == "" and err.startswith("error:"), flag
+            assert out == "" and err == f"error: {message}\n", flag

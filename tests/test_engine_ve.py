@@ -1,4 +1,5 @@
-"""Tabular elimination engine and multiplication-order policies."""
+"""Tabular elimination engine, and what the order of a product's pairwise
+multiplications costs."""
 
 import tracemalloc
 
@@ -9,6 +10,7 @@ from ctxve import (
     Confactor,
     Context,
     ContextualBeliefNetwork,
+    CostCounters,
     DomainCatalog,
     GenConfig,
     InvariantError,
@@ -21,13 +23,14 @@ from ctxve import (
     from_tabular_cpt,
     generate_biased_cbn,
     generate_random_cbn,
-    multiply_factors,
+    product,
     set_table,
     ve_query,
 )
 from ctxve.engine_ve import TabularVE
 from ctxve.orders import relevant_variables
 from ctxve.posterior import cancels, normalize_posterior
+from ctxve.tables import multiply_all, reorder
 
 from conftest import brute_posterior, contextual_mixed_network, ctx, random_evidence
 
@@ -55,38 +58,49 @@ def chain_factors():
 
 
 class TestMultiplyFactors:
+    """Which intermediates a product saves decides what it costs; counted by
+    ``product`` itself, the one pairwise kernel."""
+
     def test_left_fold_saves_intermediates(self):
         _, p_ba, p_cb, p_db = chain_factors()
-        result, count = multiply_factors([p_ba, p_cb, p_db], policy="left")
-        assert count == 12000
+        counters = CostCounters()
+        result = product(product(p_ba, p_cb, counters), p_db, counters)
+        assert counters.multiplications == 12000
         assert result.size == 8000
 
     def test_right_fold_is_cheaper_here(self):
+        # and it is the order the bucket fold takes
         _, p_ba, p_cb, p_db = chain_factors()
-        result, count = multiply_factors([p_ba, p_cb, p_db], policy="right")
-        assert count == 8008
+        counters = CostCounters()
+        result = product(product(p_db, p_cb, counters), p_ba, counters)
+        assert counters.multiplications == 8008
         assert result.size == 8000
+        counters = CostCounters()
+        multiply_all([p_ba, p_cb, p_db], counters)
+        assert counters.multiplications == 8008
 
     def test_recompute_everything(self):
+        # saving nothing recomputes each of the two pairwise products at
+        # every entry of the final one
         _, p_ba, p_cb, p_db = chain_factors()
-        _, count = multiply_factors([p_ba, p_cb, p_db], policy="recompute")
-        assert count == 16000
+        result = product(product(p_ba, p_cb), p_db)
+        assert (3 - 1) * result.size == 16000
 
     def test_single_factor_free(self):
         _, p_ba, _, _ = chain_factors()
-        result, count = multiply_factors([p_ba])
-        assert count == 0 and result is p_ba
+        counters = CostCounters()
+        result, created = multiply_all([p_ba], counters)
+        assert result is p_ba and created == []
+        assert counters.multiplications == 0
 
     def test_policies_agree_on_values(self):
         _, p_ba, p_cb, p_db = chain_factors()
-        left, _ = multiply_factors([p_ba, p_cb, p_db], policy="left")
-        right, _ = multiply_factors([p_ba, p_cb, p_db], policy="right")
-        recompute, _ = multiply_factors([p_ba, p_cb, p_db], policy="recompute")
-        for other in (right, recompute):
-            assert set(other.vars) == set(left.vars)
-            perm_axes = [other.vars.index(v) for v in left.vars]
+        left = product(product(p_ba, p_cb), p_db)
+        right = product(product(p_db, p_cb), p_ba)
+        folded, _ = multiply_all([p_ba, p_cb, p_db])
+        for other in (right, folded):
             np.testing.assert_allclose(
-                left.array, np.transpose(other.array, perm_axes), atol=1e-12
+                left.array, reorder(other, left.vars).array, atol=1e-12
             )
 
 

@@ -85,6 +85,8 @@ def test_missing_cover_is_reported(tree_net):
     families[e] = families[e][:-1]  # drop the a=false,c=false,d=false leaf
     broken = ContextualBeliefNetwork(cat, families)
     assert any("cover" in v for v in broken.validate())
+    with pytest.raises(ValueError, match="one family required per variable"):
+        ContextualBeliefNetwork(cat, families[:-1])
 
 
 def test_overlapping_bodies_are_reported(tree_net):
@@ -160,6 +162,28 @@ def test_unknown_variable_id_is_a_fault(body, vars):
     skeleton = ParentSkeleton(0, [(body, [v for v in vars if v != 0])])
     with pytest.raises(ValueError, match="confactor 0 mentions unknown variable id 5"):
         from_skeleton(cat, skeleton, [dist])
+
+
+@pytest.mark.parametrize(
+    "x, body, vars, shape, faults",
+    [
+        (1, Context(), (0,), (2,), ["confactor 0 has no b in its table"]),
+        (0, Context([(1, 0)]), (0,), (2,), [
+            "confactor 0 body mentions non-predecessor b",
+            "bodies cover 1 of 2 cells (not exhaustive)",
+        ]),
+        (0, Context(), (1, 0), (2, 2), ["confactor 0 table mentions non-predecessor b"]),
+        (1, Context(), (0, 1), (3, 2), ["confactor 0 table dimension mismatch for a"]),
+    ],
+    ids=["child-missing", "body-successor", "table-successor", "wrong-shape"],
+)
+def test_structure_faults(x, body, vars, shape, faults):
+    # Tables built in code: a document's tables take their shape from the catalog.
+    cat = DomainCatalog([("a", ("t", "f")), ("b", ("t", "f"))])
+    families = [[Confactor(Context(), cat.table((v,), [0.5, 0.5]))] for v in (0, 1)]
+    families[x] = [Confactor(body, Table(vars, np.full(shape, 0.5)))]
+    name = cat.names[x]
+    assert ContextualBeliefNetwork(cat, families).validate() == [f"{name}: {f}" for f in faults]
 
 
 class TestFromTabular:
@@ -326,10 +350,15 @@ class TestRoundTrip:
              "family of 'a', confactor 0: table entry 0 must be a number, got bool"),
             (lambda d: d["families"][0]["confactors"][0].update(table=["0.3", "0.7"]),
              "family of 'a', confactor 0: table entry 0 must be a number, got str"),
+            (lambda d: d["families"][1].update(child="nope"),
+             "family 1: unknown variable: 'nope'"),
+            (lambda d: d["families"][1].update(child="a"),
+             "family 1: duplicate family for variable 'a'"),
+            (lambda d: d["families"].pop(), "variables without families: ['b']"),
         ],
         ids=["no-variables", "values-str", "family-int", "confactor-int",
              "confactors-dict", "vars-str", "body-in-table", "label-int", "label-null",
-             "entry-bool", "entry-str"],
+             "entry-bool", "entry-str", "child-unknown", "family-twice", "family-missing"],
     )
     def test_malformed_entry_is_named(self, tmp_path, edit, message):
         doc = {
