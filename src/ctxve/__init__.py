@@ -34,7 +34,6 @@ from .errors import (
 from .bench import ENGINES, BenchRecord, enum_query, run_campaign
 from .network import (
     ContextualBeliefNetwork,
-    ParentSkeleton,
     from_skeleton,
     from_tabular_cpt,
     joint_table,
@@ -84,7 +83,6 @@ __all__ = [
     "IncompatibleContextsError",
     "InvariantError",
     "NetworkFormatError",
-    "ParentSkeleton",
     "Posterior",
     "SplitMix64",
     "Table",

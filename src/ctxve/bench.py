@@ -32,6 +32,9 @@ CSV_HEADER = (
 
 ENUM_CAP = 1 << 22
 
+# Timed runs per campaign cell; the fastest is reported.
+REPLICATES = 3
+
 # The elimination engines by name; ``enum`` is the oracle, not an engine.
 ENGINES: dict[str, type[Engine]] = {"ve": TabularVE, "cve": ContextualVE, "tve": TreeVE}
 
@@ -125,12 +128,11 @@ def run_campaign(
     obs_counts: Sequence[int] = (0, 5, 10),
     seed: int = 0,
     engines: Sequence[str] = ("ve", "cve", "tve"),
-    replicates: int = 3,
 ) -> tuple[list[BenchRecord], str]:
     """Run every engine on uniformly sampled queries over the given networks.
 
-    Each (network, query, engine) cell is evaluated ``replicates`` times and
-    the smallest runtime is reported.  Every row must pass
+    Each (network, query, engine) cell is evaluated :data:`REPLICATES` times
+    and the smallest runtime is reported.  Every row must pass
     :func:`check_row`; an engine raising an error yields an error row and
     the campaign continues.  Returns the records plus the CSV document
     (deterministic for a fixed seed, apart from the time_ms column).
@@ -143,8 +145,6 @@ def run_campaign(
     repeated = sorted({name for name in engines if engines.count(name) > 1})
     if repeated:
         raise ValueError(f"repeated engines: {repeated}")
-    if replicates < 1:
-        raise ValueError(f"replicates must be at least 1, got {replicates}")
     if queries_per_net < 1:
         raise ValueError(f"queries per network must be at least 1, got {queries_per_net}")
     if not obs_counts:
@@ -165,7 +165,7 @@ def run_campaign(
             for name in engines:
                 best_ms = math.inf
                 try:
-                    for _ in range(replicates):
+                    for _ in range(REPLICATES):
                         start = time.perf_counter()
                         answer = ENGINES[name].answer(net, [query], obs)
                         best_ms = min(best_ms, (time.perf_counter() - start) * 1000.0)

@@ -95,9 +95,8 @@ def _cmd_infer(args) -> int:
     cat = net.catalog
     query = [cat.index(name) for name in split_items(args.query)]
     obs = cat.parse_context(args.evidence)
-    order = None
-    if args.order:
-        order = [cat.index(name) for name in split_items(args.order)]
+    # An order with no items, such as "" or ",", is no order at all.
+    order = [cat.index(name) for name in split_items(args.order or "")] or None
     if args.audit and args.engine != "cve":
         raise ValueError(f"--audit checks the cve engine only, not {args.engine}")
     if args.engine == "enum":

@@ -3,7 +3,9 @@
 A network holds, for every variable, a family of confactors representing the
 conditional probability of that variable given its predecessors.  Family
 bodies must be mutually exclusive and exhaustive, mention only predecessors,
-and every member's table must be normalized over the child.
+and every member's table must be normalized over the child.  A family is
+built in code from one (context, table) pair per parent context: the
+parents of a context are its table's variables other than the child.
 
 The on-disk format is a JSON document::
 
@@ -44,16 +46,6 @@ def _one_piece(fam: Sequence[Confactor]) -> bool:
     """True iff the family is one confactor with an empty body: its table is
     the family's whole dense table."""
     return len(fam) == 1 and not fam[0].body
-
-
-class ParentSkeleton:
-    """Mutually exclusive, exhaustive (context, variable-set) pairs for one
-    variable; each pair names the predecessors the variable still depends on
-    inside that context."""
-
-    def __init__(self, child: VariableId, pairs: Sequence[tuple[Context, Sequence[VariableId]]]):
-        self.child = child
-        self.pairs = [(ctx, tuple(vs)) for ctx, vs in pairs]
 
 
 class ContextualBeliefNetwork:
@@ -204,23 +196,21 @@ def family_faults(catalog: DomainCatalog, x: VariableId, fam: Sequence[Confactor
 def from_tabular_cpt(
     catalog: DomainCatalog, x: VariableId, parents: Sequence[VariableId], table: Table
 ) -> list[Confactor]:
-    """Family for a plain conditional probability table: one confactor with
-    an empty body, built by :func:`from_skeleton` from one empty-context
-    pair."""
-    return from_skeleton(catalog, ParentSkeleton(x, [(Context(), parents)]), [table])
+    """Family for a plain conditional probability table of ``x`` given
+    ``parents``: one confactor with an empty body, built by
+    :func:`from_skeleton`.  The table must range over the parents and ``x``."""
+    if set(table.vars) != {*parents, x}:
+        raise ValueError("table must range over the parents plus the child")
+    return from_skeleton(catalog, x, [(Context(), table)])
 
 
 def from_skeleton(
-    catalog: DomainCatalog, skeleton: ParentSkeleton, distributions: Sequence[Table]
+    catalog: DomainCatalog, x: VariableId, pairs: Sequence[tuple[Context, Table]]
 ) -> list[Confactor]:
-    """Family from a parent skeleton: one confactor per skeletal pair, or a
-    ``ValueError`` naming its :func:`family_faults`."""
-    x = skeleton.child
-    if len(distributions) != len(skeleton.pairs):
-        raise ValueError("one distribution required per skeletal pair")
-    if any(set(t.vars) != {*vs, x} for (_, vs), t in zip(skeleton.pairs, distributions)):
-        raise ValueError("distribution variables must match the skeletal pair")
-    fam = [Confactor(ctx, t) for (ctx, _), t in zip(skeleton.pairs, distributions)]
+    """Family of ``x`` from (parent context, table) pairs, one confactor per
+    pair: the parents ``x`` has in a context are its table's other
+    variables.  A ``ValueError`` names the family's :func:`family_faults`."""
+    fam = [Confactor(ctx, t) for ctx, t in pairs]
     faults = family_faults(catalog, x, fam)
     if faults:
         raise ValueError(f"family of {catalog.names[x]}: " + "; ".join(faults))

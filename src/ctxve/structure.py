@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -112,11 +112,11 @@ def _split_score(table: Table, child: VariableId, v: VariableId, threshold: floa
 def compress_family(
     catalog: DomainCatalog,
     x: VariableId,
-    parents: Sequence[VariableId],
     table: Table,
     cfg: Optional[CompressionConfig] = None,
 ) -> tuple[list[Confactor], float]:
-    """Compress one conditional table into a contextual family.
+    """Compress the conditional table of ``x`` into a contextual family;
+    the table's other variables are the parents ``x`` may split on.
 
     Returns the family together with the largest pre-normalization
     deviation of a leaf's child distribution from summing to one.  When the
@@ -124,9 +124,8 @@ def compress_family(
     the dense size), the single-confactor dense family is returned instead.
     """
     cfg = cfg or CompressionConfig()
-    expected = set(parents) | {x}
-    if set(table.vars) != expected:
-        raise ValueError("table must range over the parents plus the child")
+    if x not in table.vars:
+        raise ValueError("x must be a variable of the table")
     leaves: list[tuple[Context, Table]] = []
 
     def build(node: Table, body: Context) -> None:
@@ -168,8 +167,7 @@ def compress_network(
     report = []
     for x in range(net.n_vars()):
         dense = net.tabular_factor(x)
-        parents = [v for v in dense.vars if v != x]
-        fam, residual = compress_family(net.catalog, x, parents, dense, cfg)
+        fam, residual = compress_family(net.catalog, x, dense, cfg)
         families.append(fam)
         report.append(
             {

@@ -48,11 +48,22 @@ def split_items(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
+def _unwritable(text: str, separators: str) -> bool:
+    """True iff ``text`` has surrounding whitespace, which :func:`split_items`
+    strips, or holds one of ``separators``, on which the CLI or the campaign
+    CSV split."""
+    return text != text.strip() or any(c in text for c in separators)
+
+
 class DomainCatalog:
     """Named discrete variables with finite, ordered value lists.
 
     Declaration order is the total variable ordering used everywhere else:
-    variable ``i`` may only depend on variables with a smaller index.
+    variable ``i`` may only depend on variables with a smaller index.  Every
+    name and label can be written in the CLI's comma lists and ``name=value``
+    items and in a campaign CSV row: a name is not empty and holds no ``,``,
+    ``;`` or ``=``, a label holds no ``,`` or ``;``, and neither has
+    surrounding whitespace.
     """
 
     __slots__ = ("names", "domains", "_by_name")
@@ -64,6 +75,11 @@ class DomainCatalog:
         for name, values in variables:
             if name in by_name:
                 raise ValueError(f"duplicate variable name: {name!r}")
+            if not name or _unwritable(name, ",;="):
+                raise ValueError(
+                    "variable name must be non-empty, with no ',', ';', '=' "
+                    f"or surrounding whitespace: {name!r}"
+                )
             values = tuple(values)
             if not values:
                 raise ValueError(f"variable {name!r} has an empty domain")
@@ -71,6 +87,11 @@ class DomainCatalog:
                 if not isinstance(label, str):
                     raise TypeError(
                         f"variable {name!r} has a value label that is not a string: {label!r}"
+                    )
+                if _unwritable(label, ",;"):
+                    raise ValueError(
+                        f"variable {name!r} has a value label with ',', ';' "
+                        f"or surrounding whitespace: {label!r}"
                     )
             if len(set(values)) != len(values):
                 raise ValueError(f"variable {name!r} has duplicate value labels")

@@ -13,7 +13,6 @@ from ctxve import (
     Context,
     ContextualBeliefNetwork,
     DomainCatalog,
-    ParentSkeleton,
     SplitMix64,
     Table,
     enum_query,
@@ -249,8 +248,7 @@ def contextual_mixed_network(seed: int, n: int = 9) -> ContextualBeliefNetwork:
             ]
         else:
             pairs = [(Context(), parents)]
-        skeleton = ParentSkeleton(x, pairs)
-        families.append(from_skeleton(cat, skeleton, [cpt((*vs, x)) for _, vs in skeleton.pairs]))
+        families.append(from_skeleton(cat, x, [(c, cpt((*vs, x))) for c, vs in pairs]))
     return ContextualBeliefNetwork(cat, families)
 
 

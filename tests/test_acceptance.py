@@ -300,7 +300,7 @@ def test_criterion_8_compression():
         cat = net.catalog
         e = cat.index("e")
         dense = net.tabular_factor(e)
-        fam, _ = compress_family(cat, e, [v for v in dense.vars if v != e], dense)
+        fam, _ = compress_family(cat, e, dense)
         assert [r.body for r in fam] == [
             ctx(cat, "a=true"),
             ctx(cat, "a=false,c=true"),
@@ -322,8 +322,7 @@ def test_criterion_8_compression():
         base = np.array([[0.30, 0.34], [0.38, 0.42]])
         arr = np.stack([base, 1 - base], axis=-1)
         fam, _ = compress_family(
-            gap_cat, 2, [0, 1], Table((0, 1, 2), arr),
-            CompressionConfig(threshold=0.03),
+            gap_cat, 2, Table((0, 1, 2), arr), CompressionConfig(threshold=0.03)
         )
         assert len(fam) == 1
         assert fam[0].body == Context()

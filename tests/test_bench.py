@@ -194,7 +194,7 @@ class TestCampaign:
 
     def test_csv_header_and_shape(self):
         records, csv = run_campaign(
-            self.nets(), queries_per_net=1, obs_counts=(0, 2), seed=5, replicates=1
+            self.nets(), queries_per_net=1, obs_counts=(0, 2), seed=5
         )
         lines = csv.strip().split("\n")
         assert lines[0] == CSV_HEADER
@@ -203,7 +203,7 @@ class TestCampaign:
         assert len(lines) == 13
 
     def test_determinism_modulo_time(self):
-        kwargs = dict(queries_per_net=2, obs_counts=(0, 2), seed=9, replicates=1)
+        kwargs = dict(queries_per_net=2, obs_counts=(0, 2), seed=9)
         _, csv1 = run_campaign(self.nets(), **kwargs)
         _, csv2 = run_campaign(self.nets(), **kwargs)
         assert strip_time(csv1) == strip_time(csv2)
@@ -222,7 +222,7 @@ class TestCampaign:
             (f"b{k}", generate_biased_cbn(GenConfig(n=16, s=12, p=0.2, seed=k)))
             for k in range(8)
         ]
-        _, csv = run_campaign(nets, obs_counts=(0, 3, 6), seed=7, replicates=1)
+        _, csv = run_campaign(nets, obs_counts=(0, 3, 6), seed=7)
         digest = hashlib.sha256("\n".join(strip_time(csv)).encode()).hexdigest()
         assert digest.startswith("738b7cb66097d830"), digest
 
@@ -248,7 +248,7 @@ class TestCampaign:
             (f"c{k}", generate_biased_cbn(GenConfig(n=12, s=40, p=0.0, seed=k)))
             for k in range(8)
         ]
-        run_campaign(nets, obs_counts=(0, 3, 6), seed=7, replicates=1)
+        run_campaign(nets, obs_counts=(0, 3, 6), seed=7)
 
     @pytest.mark.xfail(
         strict=True,
@@ -263,15 +263,13 @@ class TestCampaign:
         # different buckets (36 vs 34 mults).  All of these families are
         # relevant, so pruning barren variables cannot mend it.
         net = generate_random_cbn(GenConfig(n=8, s=4, p=0.2, seed=405))
-        run_campaign([("r405", net)], queries_per_net=2, obs_counts=(0, 2), seed=405, replicates=1)
+        run_campaign([("r405", net)], queries_per_net=2, obs_counts=(0, 2), seed=405)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="unknown engines"):
             run_campaign(self.nets(), engines=("ve", "nope"))
         with pytest.raises(ValueError, match=re.escape("repeated engines: ['cve', 've']")):
             run_campaign(self.nets(), engines=("ve", "cve", "ve", "tve", "cve"))
-        with pytest.raises(ValueError, match="replicates must be at least 1"):
-            run_campaign(self.nets(), replicates=0)
         for count in (0, -2):
             with pytest.raises(ValueError, match="queries per network"):
                 run_campaign(self.nets(), queries_per_net=count)
@@ -288,7 +286,7 @@ class TestCampaign:
         # cost the tree engine more than the tabular engine.
         net = generate_random_cbn(GenConfig(n=5, s=2, seed=1))
         records, _ = run_campaign(
-            [("n5", net)], queries_per_net=3, obs_counts=(0,), replicates=1
+            [("n5", net)], queries_per_net=3, obs_counts=(0,)
         )
         mults = {(r.query, r.evidence, r.engine): r.mults for r in records}
         rows = {(r.query, r.evidence) for r in records}
@@ -317,7 +315,6 @@ class TestCampaign:
             queries_per_net=6,
             obs_counts=(0, 2),
             seed=3,
-            replicates=1,
         )
         by_key = {}
         for rec in records:
@@ -351,7 +348,6 @@ class TestCampaign:
                 queries_per_net=1,
                 obs_counts=(1,),
                 seed=seed,
-                replicates=1,
             )
             if any(r.error for r in records):
                 assert any("error" in line for line in csv.split("\n"))

@@ -40,10 +40,19 @@ class TestValidate:
         assert code == 1
         assert "cover" in err
 
-    @pytest.mark.parametrize("families", [[1], [{"child": "a", "confactors": [3]}]])
-    def test_malformed_document_is_one_error_line(self, capsys, tmp_path, families):
+    @pytest.mark.parametrize(
+        "name, families",
+        [
+            ("a", [1]),
+            ("a", [{"child": "a", "confactors": [3]}]),
+            # --query and a bench row would read "a,b" as two names.
+            ("a,b", [{"child": "a,b", "confactors": [{"vars": ["a,b"], "table": [1.0]}]}]),
+        ],
+        ids=["families0", "families1", "name-comma"],
+    )
+    def test_malformed_document_is_one_error_line(self, capsys, tmp_path, name, families):
         bad = tmp_path / "malformed.json"
-        doc = {"variables": [{"name": "a", "values": ["t"]}], "families": families}
+        doc = {"variables": [{"name": name, "values": ["t"]}], "families": families}
         bad.write_text(json.dumps(doc))
         code, out, err = run(capsys, "validate", str(bad))
         assert code == 1 and out == ""
@@ -157,6 +166,20 @@ class TestInfer:
             capsys, "infer", tree_path, "--query", "e", "--evidence", "d=true,"
         )
         assert (code, out, err) == (0, want, "")
+        # An order with no items is no order: the default one, on any engine.
+        code, want, _ = run(capsys, "infer", tree_path, "--query", "e")
+        assert code == 0
+        for order in ("", ","):
+            for engine in ("cve", "enum"):
+                code, out, err = run(
+                    capsys, "infer", tree_path, "--query", "e", "--engine", engine,
+                    "--order", order,
+                )
+                assert (code, out, err) == (0, want, ""), (order, engine)
+
+    def test_evidence_item_without_a_value_is_usage_error(self, capsys, tree_path):
+        code, out, err = run(capsys, "infer", tree_path, "--query", "e", "--evidence", "d")
+        assert (code, out, err) == (1, "", "error: expected name=value, got 'd'\n")
 
     def test_variable_given_twice_in_evidence_is_usage_error(self, capsys, tree_path):
         code, out, err = run(
@@ -261,6 +284,8 @@ class TestGenCompressBench:
         for argv, message in [
             (["--n", "1", "--s", "1"], "split budget cannot be met for these parameters"),
             (["--n", "0"], "n must be at least 1"),
+            (["--n", "2", "--s=-1"], "s must be non-negative"),
+            (["--n", "2", "--p", "1.5"], "p must be in [0, 1]"),
         ]:
             code, out, err = run(capsys, "gen", *argv, "-o", str(out_path))
             assert code == USAGE_ERROR
@@ -293,11 +318,18 @@ class TestGenCompressBench:
         assert compressed.validate() == []
         assert compressed.total_confactor_size() < load(dense_path).total_confactor_size()
         assert "e: 32 -> 12" in report_path.read_text()
-        code, out, err = run(
-            capsys, "compress", str(dense_path), "--threshold", "2", "-o", str(out_path)
-        )
-        assert code == USAGE_ERROR
-        assert out == "" and err == "error: threshold must be in (0, 1)\n"
+        # Without --report, the same lines, one per family, go to stderr.
+        code, out, err = run(capsys, "compress", str(dense_path), "-o", str(out_path))
+        assert code == 0 and out == f"wrote {out_path}\n"
+        assert err.splitlines() == report_path.read_text().splitlines()
+        assert len(err.splitlines()) == net.n_vars()
+        for flag, message in [
+            ("--threshold=2", "threshold must be in (0, 1)"),
+            ("--accept-ratio=0", "accept_ratio must be in (0, 1]"),
+        ]:
+            code, out, err = run(capsys, "compress", str(dense_path), flag, "-o", str(out_path))
+            assert code == USAGE_ERROR, flag
+            assert out == "" and err == f"error: {message}\n", flag
 
     def test_bench_writes_csv(self, capsys, tmp_path):
         net_path = tmp_path / "bench-net.json"
@@ -377,6 +409,7 @@ class TestGenCompressBench:
             ("--engines=", "no engines to run"),
             ("--engines=,", "no engines to run"),
             ("--engines=ve,ve", "repeated engines: ['ve']"),
+            ("--obs-counts=7", "cannot observe that many variables"),
         ]:
             code, out, err = run(capsys, "bench", str(net_path), "--obs-counts=0", flag)
             assert code == 1, flag

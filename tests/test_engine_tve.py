@@ -14,7 +14,6 @@ from ctxve import (
     DomainCatalog,
     GenConfig,
     GroupedFactor,
-    ParentSkeleton,
     SplitMix64,
     Table,
     from_skeleton,
@@ -282,7 +281,7 @@ class TestLazyLastProduct:
         families = []
         for x in range(len(names)):
             vs = parents.get(x, [])
-            families.append(from_skeleton(cat, ParentSkeleton(x, [(Context(), vs)]), [cpt((*vs, x))]))
+            families.append(from_skeleton(cat, x, [(Context(), cpt((*vs, x)))]))
         net = ContextualBeliefNetwork(cat, families)
         engine = TreeVE(net)
         engine.begin()

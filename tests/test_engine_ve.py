@@ -14,7 +14,6 @@ from ctxve import (
     DomainCatalog,
     GenConfig,
     InvariantError,
-    ParentSkeleton,
     SplitMix64,
     Table,
     ZeroEvidenceError,
@@ -287,10 +286,8 @@ def wide_family_network():
         return Table(vars, arr / arr.sum(axis=-1, keepdims=True))
 
     families = [from_tabular_cpt(cat, p, [], cpt((p,))) for p in range(21)]
-    skeleton = ParentSkeleton(
-        x, [(Context([(0, 0)]), list(range(1, 11))), (Context([(0, 1)]), list(range(11, 21)))]
-    )
-    families.append(from_skeleton(cat, skeleton, [cpt((*vs, x)) for _, vs in skeleton.pairs]))
+    pairs = [(Context([(0, 0)]), list(range(1, 11))), (Context([(0, 1)]), list(range(11, 21)))]
+    families.append(from_skeleton(cat, x, [(c, cpt((*vs, x))) for c, vs in pairs]))
     families.append(from_tabular_cpt(cat, e, [x], cpt((x, e))))
     return ContextualBeliefNetwork(cat, families)
 

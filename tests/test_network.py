@@ -13,7 +13,6 @@ from ctxve import (
     ContextualBeliefNetwork,
     DomainCatalog,
     NetworkFormatError,
-    ParentSkeleton,
     Table,
     from_skeleton,
     from_tabular_cpt,
@@ -159,9 +158,8 @@ def test_unknown_variable_id_is_a_fault(body, vars):
     dist = Table(vars, np.full((2,) * len(vars), 0.5))
     net = ContextualBeliefNetwork(cat, [[Confactor(body, dist)]])
     assert net.validate() == ["a: confactor 0 mentions unknown variable id 5"]
-    skeleton = ParentSkeleton(0, [(body, [v for v in vars if v != 0])])
     with pytest.raises(ValueError, match="confactor 0 mentions unknown variable id 5"):
-        from_skeleton(cat, skeleton, [dist])
+        from_skeleton(cat, 0, [(body, dist)])
 
 
 @pytest.mark.parametrize(
@@ -203,6 +201,14 @@ class TestFromTabular:
         fam = from_tabular_cpt(cat, y, [], table(cat, ["y"], [0.6, 0.4]))
         assert fam[0].table.size == 2
 
+    def test_rejects_a_table_over_other_parents(self):
+        cat = tree_catalog()
+        y, z, d = cat.index("y"), cat.index("z"), cat.index("d")
+        dense = tree_network().tabular_factor(d)
+        with pytest.raises(ValueError, match="table must range over the parents plus the child"):
+            from_tabular_cpt(cat, d, [y], dense)
+        assert len(from_tabular_cpt(cat, d, [z, y], dense)) == 1
+
     def test_rejects_unnormalized(self):
         cat = tree_catalog()
         y = cat.index("y")
@@ -230,23 +236,17 @@ class TestFromTabular:
 class TestFromSkeleton:
     def test_tree_structured_family(self):
         cat = tree_catalog()
-        e, b = cat.index("e"), cat.index("b")
-        skeleton = ParentSkeleton(
-            e,
-            [
-                (ctx(cat, "a=true"), [b]),
-                (ctx(cat, "a=false,c=true"), []),
-                (ctx(cat, "a=false,c=false,d=true"), [b]),
-                (ctx(cat, "a=false,c=false,d=false"), []),
-            ],
-        )
-        dists = [
-            table(cat, ["b", "e"], [0.55, 0.45, 0.3, 0.7]),
-            table(cat, ["e"], [0.08, 0.92]),
-            table(cat, ["b", "e"], [0.025, 0.975, 0.85, 0.15]),
-            table(cat, ["e"], [0.5, 0.5]),
+        e = cat.index("e")
+        pairs = [
+            (ctx(cat, "a=true"), table(cat, ["b", "e"], [0.55, 0.45, 0.3, 0.7])),
+            (ctx(cat, "a=false,c=true"), table(cat, ["e"], [0.08, 0.92])),
+            (
+                ctx(cat, "a=false,c=false,d=true"),
+                table(cat, ["b", "e"], [0.025, 0.975, 0.85, 0.15]),
+            ),
+            (ctx(cat, "a=false,c=false,d=false"), table(cat, ["e"], [0.5, 0.5])),
         ]
-        fam = from_skeleton(cat, skeleton, dists)
+        fam = from_skeleton(cat, e, pairs)
         want = tree_network().families[e]
         assert [r.body for r in fam] == [r.body for r in want]
         for got, expected in zip(fam, want):
@@ -256,9 +256,8 @@ class TestFromSkeleton:
         cat = tree_catalog()
         d, y, z = cat.index("d"), cat.index("y"), cat.index("z")
         dense = tree_network().tabular_factor(d)
-        fam = from_skeleton(
-            cat, ParentSkeleton(d, [(Context(), [y, z])]), [dense]
-        )
+        assert set(dense.vars) == {y, z, d}
+        fam = from_skeleton(cat, d, [(Context(), dense)])
         assert len(fam) == 1 and fam[0].body == Context()
 
     def test_switching_parent_family(self):
@@ -267,26 +266,29 @@ class TestFromSkeleton:
 
         cat = hvac_catalog()
         fh, ot, ft = cat.index("fh"), cat.index("ot"), cat.index("ft")
-        skeleton = ParentSkeleton(
-            fh,
-            [
-                (ctx(cat, "fb=true"), [ot]),
-                (ctx(cat, "fb=false"), [ft]),
-            ],
-        )
-        dists = [
-            table(cat, ["ot", "fh"], [0.9, 0.1, 0.3, 0.7]),
-            table(cat, ["ft", "fh"], [0.8, 0.2, 0.2, 0.8]),
+        pairs = [
+            (ctx(cat, "fb=true"), table(cat, ["ot", "fh"], [0.9, 0.1, 0.3, 0.7])),
+            (ctx(cat, "fb=false"), table(cat, ["ft", "fh"], [0.8, 0.2, 0.2, 0.8])),
         ]
-        fam = from_skeleton(cat, skeleton, dists)
+        fam = from_skeleton(cat, fh, pairs)
         assert [r.body for r in fam] == [ctx(cat, "fb=true"), ctx(cat, "fb=false")]
+        assert [r.table.vars for r in fam] == [(ot, fh), (ft, fh)]
 
     def test_rejects_non_exhaustive(self):
         cat = tree_catalog()
-        e, b = cat.index("e"), cat.index("b")
-        skeleton = ParentSkeleton(e, [(ctx(cat, "a=true"), [b])])
+        e = cat.index("e")
+        pairs = [(ctx(cat, "a=true"), table(cat, ["b", "e"], [0.55, 0.45, 0.3, 0.7]))]
         with pytest.raises(ValueError, match="not exhaustive"):
-            from_skeleton(cat, skeleton, [table(cat, ["b", "e"], [0.55, 0.45, 0.3, 0.7])])
+            from_skeleton(cat, e, pairs)
+
+
+# The starts of the messages for a name or a label that a comma list, a
+# ``name=value`` item or a campaign CSV row could not carry.
+NAME = (
+    "variables: variable name must be non-empty, "
+    "with no ',', ';', '=' or surrounding whitespace: "
+)
+LABEL = "variables: variable 'b' has a value label with ',', ';' or surrounding whitespace: "
 
 
 class TestRoundTrip:
@@ -355,10 +357,30 @@ class TestRoundTrip:
             (lambda d: d["families"][1].update(child="a"),
              "family 1: duplicate family for variable 'a'"),
             (lambda d: d["families"].pop(), "variables without families: ['b']"),
+            (lambda d: d["variables"][1].update(name="a"),
+             "variables: duplicate variable name: 'a'"),
+            (lambda d: d["variables"][1].update(values=[]),
+             "variables: variable 'b' has an empty domain"),
+            (lambda d: d["variables"][1].update(values=["t", "t"]),
+             "variables: variable 'b' has duplicate value labels"),
+            (lambda d: d["families"][1]["confactors"][0].update(vars=["a", "a"]),
+             "family of 'b', confactor 0: duplicate variables in table"),
+            # Names and labels the command line and the campaign CSV can write.
+            (lambda d: d["variables"][0].update(name="a,b"), NAME + "'a,b'"),
+            (lambda d: d["variables"][0].update(name="a;b"), NAME + "'a;b'"),
+            (lambda d: d["variables"][0].update(name="a=b"), NAME + "'a=b'"),
+            (lambda d: d["variables"][0].update(name=""), NAME + "''"),
+            (lambda d: d["variables"][0].update(name=" a"), NAME + "' a'"),
+            (lambda d: d["variables"][1].update(values=["t,u", "f"]), LABEL + "'t,u'"),
+            (lambda d: d["variables"][1].update(values=["t", "f;g"]), LABEL + "'f;g'"),
+            (lambda d: d["variables"][1].update(values=["t", "f\t"]), LABEL + "'f\\t'"),
         ],
         ids=["no-variables", "values-str", "family-int", "confactor-int",
              "confactors-dict", "vars-str", "body-in-table", "label-int", "label-null",
-             "entry-bool", "entry-str", "child-unknown", "family-twice", "family-missing"],
+             "entry-bool", "entry-str", "child-unknown", "family-twice", "family-missing",
+             "name-twice", "domain-empty", "labels-twice", "table-vars-twice",
+             "name-comma", "name-semicolon", "name-equals", "name-empty", "name-space",
+             "label-comma", "label-semicolon", "label-space"],
     )
     def test_malformed_entry_is_named(self, tmp_path, edit, message):
         doc = {

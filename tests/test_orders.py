@@ -242,7 +242,7 @@ class TestBarrenPruning:
                 for seed in range(10)
             ]
             records, _ = run_campaign(
-                nets, queries_per_net=2, obs_counts=(0, 3, 6), seed=5, replicates=1
+                nets, queries_per_net=2, obs_counts=(0, 3, 6), seed=5
             )
             mults = {}
             for rec in records:

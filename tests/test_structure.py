@@ -90,9 +90,7 @@ class TestCompression:
         cat = tree_catalog()
         e = cat.index("e")
         dense = dense_e(cat)
-        fam, residual = compress_family(
-            cat, e, [v for v in dense.vars if v != e], dense
-        )
+        fam, residual = compress_family(cat, e, dense)
         bodies = [r.body for r in fam]
         assert bodies == [
             ctx(cat, "a=true"),
@@ -126,22 +124,25 @@ class TestCompression:
         base = np.array([0.30, 0.34, 0.38, 0.42]).reshape(2, 2)
         arr = np.stack([base, 1 - base], axis=-1)
         t = Table((0, 1, 2), arr)
-        fam, _ = compress_family(
-            cat, 2, [0, 1], t, CompressionConfig(threshold=0.03)
-        )
+        fam, _ = compress_family(cat, 2, t, CompressionConfig(threshold=0.03))
         assert len(fam) == 1
         assert fam[0].body == Context()
         assert fam[0].table.size == t.size
         # the looser default threshold does compress it
-        fam2, _ = compress_family(cat, 2, [0, 1], t, CompressionConfig(threshold=0.05))
+        fam2, _ = compress_family(cat, 2, t, CompressionConfig(threshold=0.05))
         assert sum(r.size for r in fam2) < t.size
+
+    def test_rejects_a_table_without_the_child(self):
+        cat = DomainCatalog([("p", ("0", "1")), ("x", ("0", "1"))])
+        with pytest.raises(ValueError, match="x must be a variable of the table"):
+            compress_family(cat, 1, Table((0,), np.full(2, 0.5)))
 
     def test_constant_table_collapses_to_prior(self):
         cat = DomainCatalog(
             [("p", ("0", "1")), ("q", ("0", "1")), ("x", ("0", "1"))]
         )
         arr = np.full((2, 2, 2), 0.5)
-        fam, _ = compress_family(cat, 2, [0, 1], Table((0, 1, 2), arr))
+        fam, _ = compress_family(cat, 2, Table((0, 1, 2), arr))
         assert len(fam) == 1
         assert fam[0].body == Context()
         assert fam[0].table.vars == (2,)
@@ -155,7 +156,7 @@ class TestCompression:
             raw = np.array([rng.uniform() for _ in range(8)]).reshape(2, 2, 2)
             arr = np.stack([raw, 1 - raw], axis=-1)
             t = Table((0, 1, 2, 3), arr)
-            fam, residual = compress_family(cat, x, [0, 1, 2], t, cfg)
+            fam, residual = compress_family(cat, x, t, cfg)
             assert residual <= cfg.threshold / 2 + 1e-12
             for combo in itertools.product((0, 1), repeat=3):
                 full = Context(list(enumerate(combo)))
