@@ -20,8 +20,9 @@ class EliminationRecord:
     """Per-elimination accounting: ``created`` sizes and the engine's size
     metric for eliminating ``variable``.
 
-    ``created`` lists, for the tabular engine, the bucket kernel's
-    intermediate products and its result; for contextual VE, the confactors
+    ``created`` lists, for the tabular engine, the sizes of the bucket
+    kernel's smallest-first intermediate products (counted whether or not
+    the kernel builds them) and of its result; for contextual VE, the confactors
     the step created; for the tree engine, the members of the result group.
     A contextual or tree step's intermediates reach ``max_table_size`` only.
     """

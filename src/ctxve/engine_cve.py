@@ -6,15 +6,18 @@ hands its bucket, the confactors that mention Y, to the step
 into the confactors for Y (a complete set descended from Y's family) and the
 others.  Each of the others is absorbed into the complete set: members
 incompatible with it pass through, compatible members are split so that
-exactly one piece matches and that piece collects the incoming table.
+exactly one piece matches and that piece collects the incoming table.  A
+member whose body already assigns every variable of the incoming body is
+not split at all, so on a network with no contexts a step is the tabular
+engine's product and sum, with no split and no group sum.
 Absorbed tables are multiplied lazily: each member keeps a list of tables (a
 :class:`~ctxve.confactor.Member`).
 
 Summing Y out of the members is :func:`sum_out_members`, the one sum-out
 step of both contextual engines (the tree engine calls it too).  Table
 occurrences are multiplied smallest first by the tabular engine's kernel
-(:func:`~ctxve.tables.multiply_all_sum_out`), whose last product is
-contracted with the sum over Y and never built, so the multiplication order
+(:func:`~ctxve.tables.multiply_all_sum_out`), which sums Y out without
+building the last product, so the multiplication order
 inside one context mirrors the tabular engine's fold order
 (:func:`~ctxve.tables.fold_key`) rather than the incidental absorption
 order.  Body occurrences are added across Y's values with the group-sum
@@ -143,7 +146,7 @@ def sum_out_members(
     contracted over ``y`` (:func:`~ctxve.tables.multiply_all_sum_out`),
     unless it is still pure for ``y``: then its tables are an untouched
     family fragment whose sum over ``y`` is all ones, and it is dropped.
-    Members with ``y`` in the body are multiplied out and group-summed
+    Members with ``y`` in the body, if any, are multiplied out and group-summed
     across ``y``'s values (:func:`sum_out_body_occurrences`); a fold output
     is dropped only when every piece that fed it was pure, because a pure
     piece can face an impure sibling at another value.  ``y`` is stripped
@@ -151,11 +154,13 @@ def sum_out_members(
     never dropped.
     """
     out: list[Confactor] = []
-    groups: list[list[Confactor]] = [[] for _ in range(catalog.size(y))]
+    groups: list[list[Confactor]] = []
     for m in members:
         if y in m.body:
             acc, sizes = multiply_all(m.tables, counters)
             counters.note_tables(sizes)
+            if not groups:
+                groups = [[] for _ in range(catalog.size(y))]
             groups[m.body.get(y)].append(
                 Confactor(m.body.without(y), acc, m.for_vars, m.pure_for)
             )
@@ -170,7 +175,7 @@ def sum_out_members(
         result, sizes = multiply_all_sum_out(m.tables, y, counters)
         counters.note_tables(sizes)
         out.append(Confactor(m.body, result, m.for_vars - {y}, m.pure_for - {y}))
-    for r in sum_out_body_occurrences(groups, counters):
+    for r in sum_out_body_occurrences(groups, counters) if groups else ():
         if y not in r.pure_for:
             out.append(Confactor(r.body, r.table, r.for_vars - {y}, r.pure_for - {y}))
     return out
@@ -254,11 +259,14 @@ class ContextualVE(Engine):
                     nxt.append(m)
                     continue
                 landed = True
-                residuals, (body, tables) = split_on_context(
-                    catalog, m.body, m.tables, r.body, counters
-                )
-                for piece_body, piece_tables in residuals:
-                    nxt.append(Member(piece_body, piece_tables, m.for_vars, m.pure_for))
+                body, tables = m.body, m.tables
+                # A body that already assigns all of r's is not split.
+                if not all(v in body for v in r.body.vars()):
+                    residuals, (body, tables) = split_on_context(
+                        catalog, body, tables, r.body, counters
+                    )
+                    for piece_body, piece_tables in residuals:
+                        nxt.append(Member(piece_body, piece_tables, m.for_vars, m.pure_for))
                 nxt.append(
                     Member(
                         body,

@@ -10,11 +10,13 @@ leaves untouched, or one some query already expanded whole, is sliced from
 that whole expansion.  Any other family is tiled in the evidence's block
 only, so it is never expanded whole just to be sliced.
 
-The last pairwise product of a bucket is contracted with the sum in one
-``np.einsum`` call (:func:`~ctxve.tables.contract`), so that product is
-never built, and the table recorded as created for an elimination is the
-summed result (multiplication counts are unaffected: a pairwise product
-always costs one multiplication per entry of its result, built or not).
+A bucket is multiplied and summed by
+:func:`~ctxve.tables.multiply_all_sum_out`: a small bucket in one
+``np.einsum`` call over all its tables, a large one by building all but its
+last pairwise product.  The sizes recorded as created for an elimination
+are the smallest-first fold's intermediate products, built or not, and the
+summed result in place of the last product; a pairwise product costs one
+multiplication per entry of its result, built or not.
 """
 
 from __future__ import annotations

@@ -18,12 +18,13 @@ owned by the calling engine, never by this module.  ``product`` and
 or an operand is a scalar (most calls of the contextual engines); the same
 IEEE operation meets the same entries, so the values are bitwise identical.
 
-``multiply_all_sum_out`` is the bucket kernel of all three engines: it
-multiplies a bucket's tables smallest first and hands the last pair to
-``contract``, which sums ``y`` out of their product with one ``np.einsum``
-call and never builds that product.  Products above :data:`OPTIMIZE_ABOVE`
-entries go through numpy's batched matmul (``optimize=True``), smaller ones
-through plain einsum.  The counters are computed from shapes, so they equal
+``multiply_all_sum_out`` is the bucket kernel of all three engines.  A
+bucket whose last pairwise product has at most :data:`OPTIMIZE_ABOVE`
+entries is summed over ``y`` in one plain ``np.einsum`` call over all its
+tables (``contract``), so no product is built; a larger one multiplies its
+tables smallest first and contracts only the last pair, through numpy's
+batched matmul (``optimize=True``).  Either way the counters and the
+recorded sizes are read off the smallest-first fold's scopes, so they equal
 those of the unfused product and sum.
 """
 
@@ -38,9 +39,13 @@ from .errors import IncompatibleContextsError
 
 VariableId = int
 
-# Product size above which contract() lets einsum optimize, i.e. hand the
-# pair to numpy's batched matmul; smaller products are cheaper in plain einsum.
+# Last-product size above which the bucket kernel builds the bucket's
+# intermediate products and lets einsum optimize the last pair, i.e. hand it
+# to numpy's batched matmul; a smaller bucket is cheaper as one plain einsum
+# call over all its tables.
 OPTIMIZE_ABOVE = 1 << 13
+# Most tables one np.einsum call takes on numpy 1.x (63 on numpy 2).
+_EINSUM_OPERANDS = 31
 
 
 def split_items(text: str) -> list[str]:
@@ -300,6 +305,8 @@ def set_table(f: Table, c: Context) -> Table:
     Variables of ``c`` absent from ``f`` are ignored; the empty context is a
     no-op returning ``f`` itself.
     """
+    if not c._map:
+        return f
     indexer = []
     out_vars = []
     touched = False
@@ -399,59 +406,63 @@ def multiply_all(
     return acc, created
 
 
-def contract(a: Table, b: Table, y: VariableId, counters=None) -> Table:
-    """Sum over ``y`` of the product of ``a`` and ``b``, never building the
-    product.
+def contract(tables: Sequence[Table], y: VariableId, optimize: bool = False) -> Table:
+    """Sum over ``y`` of the product of ``tables`` in one ``np.einsum`` call,
+    never building that product.
 
-    One ``np.einsum`` call over ``_union_vars(a, b)``, each variable labelled
-    by its position there; the result is over that list minus ``y``.  Above
-    :data:`OPTIMIZE_ABOVE` product entries einsum is asked to optimize, which
-    sends the pair to numpy's batched matmul; below it, plain einsum streams
-    the sum of products in C.
-
-    The counters are those of the unfused product and sum: one
-    multiplication per entry of the product, ``dom - 1`` additions per
-    entry of the result.
+    Each variable is labelled by its position in the tables' variable union,
+    taken in list order as :func:`multiply_all` takes it; the result is over
+    that union minus ``y``.  ``optimize`` lets einsum hand the contraction
+    to numpy's batched matmul.
     """
-    union = _union_vars(a, b)
-    if y not in union:
+    label: dict[VariableId, int] = {}
+    operands: list = []
+    for t in tables:
+        for v in t.vars:
+            label.setdefault(v, len(label))
+        operands += [t.array, [label[v] for v in t.vars]]
+    if y not in label:
         raise ValueError("variable not in table")
-    dims = dict(zip(a.vars, a.array.shape))
-    dims.update(zip(b.vars, b.array.shape))
-    entries = math.prod(dims.values())
-    label = {v: i for i, v in enumerate(union)}
-    out_vars = tuple(v for v in union if v != y)
-    out = np.einsum(
-        a.array, [label[v] for v in a.vars],
-        b.array, [label[v] for v in b.vars],
-        [label[v] for v in out_vars],
-        optimize=entries > OPTIMIZE_ABOVE,
-    )
-    result = Table(out_vars, out)
-    if counters is not None:
-        counters.multiplications += entries
-        counters.additions += (dims[y] - 1) * result.size
-    return result
+    out_vars = tuple(v for v in label if v != y)
+    out = np.einsum(*operands, [label[v] for v in out_vars], optimize=optimize)
+    return Table(out_vars, out)
 
 
 def multiply_all_sum_out(
     tables: Sequence[Table], y: VariableId, counters=None
 ) -> tuple[Table, list[int]]:
-    """Product of ``tables`` in :func:`multiply_all`'s order, with the final
-    product contracted over ``y`` by :func:`contract`.
+    """Sum over ``y`` of the product of ``tables``, counted as
+    :func:`multiply_all`'s pairwise fold followed by :func:`sum_out`.
 
-    Intermediate pairwise products are materialized; the last product is
-    never built, only accounted for (its multiplications equal its size),
-    and is not recorded as a created table.  Returns the summed result and
-    the sizes of the tables actually materialized (intermediates + result).
+    A bucket whose last pairwise product has at most :data:`OPTIMIZE_ABOVE`
+    entries (and that fits in one einsum call) is contracted whole by
+    :func:`contract`, so no pairwise product is built.  A larger one folds
+    all but its last table with :func:`multiply_all` and contracts the last
+    pair with einsum's optimization.  Either way the counters and the sizes
+    come from the fold's running scopes: one multiplication per entry of
+    each pairwise product, ``dom - 1`` additions per entry of the result.
+    Returns the summed result and the sizes of the fold's intermediate
+    products, built or not, followed by the result's.
     """
     if not tables:
         raise ValueError("nothing to multiply")
-    *head, last = sorted(tables, key=fold_key)
-    if not head:
-        result = sum_out(last, y, counters)
+    ordered = sorted(tables, key=fold_key)
+    if len(ordered) == 1:
+        result = sum_out(ordered[0], y, counters)
         return result, [result.size]
-    acc, created = multiply_all(head, counters)
-    result = contract(acc, last, y, counters)
-    created.append(result.size)
+    dims = dict(zip(ordered[0].vars, ordered[0].array.shape))
+    created: list[int] = []
+    for t in ordered[1:]:
+        for v, d in zip(t.vars, t.array.shape):
+            dims.setdefault(v, d)
+        created.append(math.prod(dims.values()))
+    if created[-1] <= OPTIMIZE_ABOVE and len(ordered) <= _EINSUM_OPERANDS:
+        result = contract(ordered, y)
+    else:
+        acc, _ = multiply_all(ordered[:-1])
+        result = contract([acc, ordered[-1]], y, optimize=created[-1] > OPTIMIZE_ABOVE)
+    if counters is not None:
+        counters.multiplications += sum(created)
+        counters.additions += (dims[y] - 1) * result.size
+    created[-1] = result.size
     return result, created

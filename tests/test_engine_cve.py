@@ -2,6 +2,7 @@
 handling and equivalence with the other engines."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from ctxve import (
     value_at,
     ve_query,
 )
+from ctxve import engine_cve
 from ctxve.confactor import EMPTY
 from ctxve.counters import CostCounters
 from ctxve.engine_cve import ContextualVE, Member, sum_out_members
@@ -35,7 +37,9 @@ from ctxve.engine_cve import ContextualVE, Member, sum_out_members
 from conftest import (
     F,
     T,
+    alternating_emissions,
     answer_paths,
+    binary_hmm,
     brute_posterior,
     ctx,
     find_confactor,
@@ -245,6 +249,23 @@ class TestAbsorb:
         assert [r.body for r in created] == [Context([(0, 0)]), Context([(0, 1)])]
         np.testing.assert_allclose(created[0].table.array, [0.54, 0.46])
         np.testing.assert_allclose(created[1].table.array, [0.33, 0.67])
+
+    def test_context_free_network_is_never_split(self):
+        # Every body is empty, so every absorption lands on a body that
+        # already assigns all of the incoming one's: nothing is split, and
+        # the step is ve's product and sum.
+        net = binary_hmm(30)
+        obs = alternating_emissions(30)
+        query = [2 * 14]
+        with mock.patch.object(
+            engine_cve, "split_on_context", wraps=engine_cve.split_on_context
+        ) as spy:
+            got, c = cve_query(net, query, obs)
+        want, ref = ve_query(net, query, obs)
+        assert spy.call_count == 0
+        assert c.splits == 0
+        assert (c.multiplications, c.additions) == (ref.multiplications, ref.additions)
+        assert got.max_abs_diff(want) <= 1e-12
 
     def test_completeness_is_preserved(self, tree_net):
         cat = tree_net.catalog

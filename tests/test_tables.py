@@ -391,15 +391,17 @@ def test_sum_out_distributes_over_product(data):
 # The fused kernel against the unfused product and sum.  A bucket is the
 # domain sizes of its variables and the variable lists of its tables; the
 # eliminated variable is 0 and occurs in at least one table.  A threshold of
-# 0 sends every bucket through einsum's batched-matmul path; at the default,
-# the drawn buckets are small enough for plain einsum.
+# 0 sends every bucket through the pairwise fold, whose last pair einsum
+# hands to batched matmul; at the default, the drawn buckets are contracted
+# whole in one plain einsum call, which builds no pairwise product, yet must
+# count and record each one as the fold does.
 
 
 @st.composite
 def _buckets(draw):
     doms = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
     scope = st.lists(st.integers(0, len(doms) - 1), unique=True, max_size=len(doms))
-    scopes = draw(st.lists(scope.map(tuple), min_size=1, max_size=3))
+    scopes = draw(st.lists(scope.map(tuple), min_size=1, max_size=4))
     if not any(0 in s for s in scopes):
         scopes[0] = (*scopes[0], 0)
     return doms, scopes
@@ -423,6 +425,22 @@ def _buckets(draw):
     bucket=([4, 8, 8, 8, 8], [(1, 2, 0, 3), (4, 0, 2, 1)]),
     threshold=tables.OPTIMIZE_ABOVE,
     seed=0,
+)
+@example(  # three tables, last product of exactly OPTIMIZE_ABOVE entries: one call
+    bucket=([2] * 13, [(0, 1, 2, 3, 4), (4, 5, 6, 7, 8), (8, 9, 10, 11, 12, 0)]),
+    threshold=tables.OPTIMIZE_ABOVE,
+    seed=0,
+)
+@example(  # three tables, last product of twice that: the fold
+    bucket=([2] * 14, [(0, 1, 2, 3, 4), (4, 5, 6, 7, 8), (8, 9, 10, 11, 12, 13, 0)]),
+    threshold=tables.OPTIMIZE_ABOVE,
+    seed=0,
+)
+@example(  # as many tables as one einsum call takes on numpy 1.x: one call
+    bucket=([2, 3], [(0,), (1, 0)] * 15 + [(0,)]), threshold=tables.OPTIMIZE_ABOVE, seed=0
+)
+@example(  # more tables than that: the fold
+    bucket=([2, 3], [(0,), (1, 0)] * 20), threshold=tables.OPTIMIZE_ABOVE, seed=0
 )
 def test_fused_product_sum_matches_product_then_sum(bucket, threshold, seed):
     doms, scopes = bucket
