@@ -52,9 +52,3 @@ class CostCounters:
         if size > self.max_elim_size:
             self.max_elim_size = size
         self.eliminations.append(EliminationRecord(variable, created, size))
-
-    def elimination_for(self, variable: int) -> EliminationRecord:
-        for rec in self.eliminations:
-            if rec.variable == variable:
-                return rec
-        raise KeyError(f"no elimination recorded for variable {variable}")

@@ -2,9 +2,10 @@
 
 The working set is a multiset of confactors.  Eliminating a variable Y
 hands its bucket, the confactors that mention Y, to the step
-(:meth:`~ctxve.orders.Engine.eliminate` splits it off), which partitions it
-into the confactors for Y (a complete set descended from Y's family) and the
-others.  Each of the others is absorbed into the complete set: members
+(:meth:`~ctxve.orders.Engine.eliminate` filed each of them there, under the
+first variable of the order that it mentions).  The step partitions the
+bucket into the confactors for Y (a complete set descended from Y's family)
+and the others.  Each of the others is absorbed into the complete set: members
 incompatible with it pass through, compatible members are split so that
 exactly one piece matches and that piece collects the incoming table.  A
 member whose body already assigns every variable of the incoming body is
@@ -212,9 +213,12 @@ class ContextualVE(Engine):
         if self.audit:
             self._check_invariants()
 
-    def step(self, y: VariableId, bucket: list[Confactor], rest: list[Confactor]) -> tuple:
+    def step(self, y: VariableId, bucket: list[Confactor]) -> tuple:
         """Absorb the bucket's other confactors into the ones for ``y`` and
-        sum ``y`` out.  Every confactor for ``y`` must mention ``y``."""
+        sum ``y`` out.  Every confactor for ``y`` must mention ``y``: the
+        live set, which holds the rest once the bucket has left it, is walked
+        once to check that and to add the survivors sharing a ``for_var``
+        with the created confactors to the step size."""
         r_plus: list[Confactor] = []
         r_star: list[Confactor] = []
         for r in bucket:
@@ -225,7 +229,7 @@ class ContextualVE(Engine):
         for c in created:
             changed |= c.for_vars
         elim_size = sum(c.size for c in created)
-        for c in rest:
+        for c in self.live.values():
             if y in c.for_vars:
                 raise InvariantError("confactor tracked for a variable it does not involve")
             if not changed.isdisjoint(c.for_vars):

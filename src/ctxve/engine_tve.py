@@ -99,11 +99,12 @@ class TreeVE(Engine):
 
     def begin(self, obs: Optional[Context] = None) -> None:
         obs = obs or Context()
-        self.items = []
+        items = []
         for x in self.relevant:
             members = incorporate_evidence(self.net.families[x], obs)
             if members:
-                self.items.append(GroupedFactor(members, self.net.catalog))
+                items.append(GroupedFactor(members, self.net.catalog))
+        self.items = items
 
     def _merge(self, groups: Sequence[GroupedFactor]) -> GroupedFactor:
         """Multiply groups pairwise in the tabular engine's order: ascending
@@ -115,7 +116,7 @@ class TreeVE(Engine):
             merged = tve_multiply(catalog, merged, g, self.counters)
         return merged
 
-    def step(self, y: VariableId, bucket: list[GroupedFactor], rest: list[GroupedFactor]) -> tuple:
+    def step(self, y: VariableId, bucket: list[GroupedFactor]) -> tuple:
         catalog = self.net.catalog
         *head, last = sorted(bucket, key=fold_key)
         if head:

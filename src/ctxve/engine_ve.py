@@ -40,13 +40,14 @@ class TabularVE(Engine):
     def begin(self, obs: Optional[Context] = None) -> None:
         """Make the relevant families dense under the evidence."""
         obs = obs or Context()
-        self.items = []
+        items = []
         for x in self.relevant:
             factor = self.net.factor_under(x, obs)
             if not cancels(factor):
-                self.items.append(factor)
+                items.append(factor)
+        self.items = items
 
-    def step(self, y: VariableId, bucket: list[Table], rest: list[Table]) -> tuple:
+    def step(self, y: VariableId, bucket: list[Table]) -> tuple:
         result, created = multiply_all_sum_out(bucket, y, self.counters)
         return ([] if cancels(result) else [result]), created, sum(created)
 

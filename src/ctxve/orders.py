@@ -5,11 +5,15 @@ relevant variables, picks or checks the elimination order, then runs the
 subclass's steps: ``begin(obs)`` substitutes the evidence into the relevant
 families to fill the working set ``items``, the one elimination loop
 :meth:`Engine.eliminate` removes each variable of the order through the
-engine's ``step(y, bucket, rest)``, and ``finish()`` multiplies what is left
-into one unnormalized table.  ``query()`` then normalizes it through
+engine's ``step(y, bucket)``, and ``finish()`` multiplies what is left into
+one unnormalized table.  ``query()`` then normalizes it through
 :func:`~ctxve.posterior.normalize_posterior`, which first checks that it
 ranges over exactly the query variables: that answer step is the same for
 every engine.
+The loop is bucket elimination (Dechter 1999).  The order is fixed before
+``begin``; each item is filed once, in the bucket of the first variable of
+the order that it mentions, and a step takes its own bucket only, so no
+step scans the working set.
 A query must be non-empty, name existing variables, repeat none and observe
 none, and the evidence must assign existing variables values inside their
 domains; any other query raises ``ValueError`` before any work is done.
@@ -59,7 +63,12 @@ class Engine:
     """One engine instance per query over a shared immutable network.
 
     ``items`` is the working set: the engine's factors (tables, confactors
-    or grouped confactor sets), each naming its variables as ``vars``.
+    or grouped confactor sets), each naming its variables as ``vars``.  It
+    lists the live set ``live``, ``id(item)`` to item in filing order.
+    Assigning ``items`` files the items afresh under ``order``, so
+    ``order`` is set first: each item goes to the bucket of the first
+    variable of the order that it mentions, or, mentioning none, waits for
+    ``finish``.
     After :meth:`query`, ``counters`` holds the query's costs, ``order`` the
     elimination order it ran and ``relevant`` the variables, in ascending
     id order, whose families ``begin`` read.  Until a query prunes it,
@@ -72,25 +81,62 @@ class Engine:
         self.counters = CostCounters()
         self.order: list[VariableId] = []
         self.relevant: list[VariableId] = list(range(net.n_vars()))
-        self.items: list = []
+        self.live: dict[int, object] = {}
+        self._order: tuple[VariableId, ...] = ()
+        self._next = 0
+
+    @property
+    def items(self) -> list:
+        return list(self.live.values())
+
+    @items.setter
+    def items(self, items) -> None:
+        order = self._order = tuple(self.order)
+        # position[v] is v's place in the order; an item that mentions no
+        # variable of the order lands in the last bucket, which is never
+        # eliminated.
+        position = [len(order)] * self.net.n_vars()
+        for i, y in enumerate(order):
+            position[y] = i
+        self._position = position.__getitem__
+        self._buckets: list[list] = [[] for _ in range(len(order) + 1)]
+        self._next = 0
+        self.live = {}
+        self._file(items)
+        if len(self.live) != len(items):
+            raise ValueError("the working set holds one item twice")
+
+    def _file(self, items) -> None:
+        live, buckets, position = self.live, self._buckets, self._position
+        try:
+            for item in items:
+                live[id(item)] = item
+                buckets[min(map(position, item.vars))].append(item)
+        except ValueError:  # min() of no variables
+            raise ValueError("the working set holds a constant") from None
 
     def eliminate(self, y: VariableId) -> None:
-        """Remove ``y`` from the working set.
+        """Eliminate ``y``, the next variable of the order.
 
-        The items are split, in list order, into ``y``'s bucket and the
-        rest.  A non-empty bucket goes to ``step(y, bucket, rest)``, which
-        returns the items it created, the sizes of the tables created and
-        the engine's size metric for the step; the working set becomes the
-        rest followed by the created items.  An empty bucket (such as a
-        barren variable of a user order) is a step that creates nothing.
+        ``y``'s bucket holds exactly the live items that mention ``y``, in
+        working-set order: every item filed under an earlier variable left
+        with it.  The bucket leaves the live set; a non-empty one goes to
+        ``step(y, bucket)``, which returns the items it created, to be
+        filed, the sizes of the tables created and the engine's size metric
+        for the step.  An empty bucket (a barren variable of a user order)
+        is a step that creates nothing.  Any other ``y`` raises
+        ``ValueError`` before the working set is touched.
         """
-        bucket: list = []
-        rest: list = []
-        for item in self.items:
-            (bucket if y in item.vars else rest).append(item)
-        created, created_sizes, step_size = self.step(y, bucket, rest) if bucket else ([], (), 0)
-        rest += created
-        self.items = rest
+        order, k = self._order, self._next
+        if k == len(order) or order[k] != y:
+            raise ValueError(f"eliminate({y}) out of turn: the order left is {list(order[k:])}")
+        self._next = k + 1
+        bucket, self._buckets[k] = self._buckets[k], []
+        live = self.live
+        for item in bucket:
+            del live[id(item)]
+        created, created_sizes, step_size = self.step(y, bucket) if bucket else ([], (), 0)
+        self._file(created)
         self.counters.record_elimination(y, created_sizes, step_size)
 
     @classmethod

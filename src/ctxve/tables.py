@@ -276,11 +276,6 @@ class Table:
     def flat(self) -> np.ndarray:
         return self.array.reshape(-1)
 
-    def lookup(self, assignment: Mapping[VariableId, int]) -> float:
-        """Entry at a full assignment of this table's variables."""
-        idx = tuple(assignment[v] for v in self.vars)
-        return float(self.array[idx])
-
     def __repr__(self) -> str:
         return f"Table(vars={self.vars}, shape={self.array.shape})"
 

@@ -12,7 +12,11 @@ from ctxve import (
     Confactor,
     Context,
     ContextualBeliefNetwork,
+    CostCounters,
     DomainCatalog,
+    EliminationRecord,
+    Engine,
+    GroupedFactor,
     SplitMix64,
     Table,
     enum_query,
@@ -32,6 +36,19 @@ def ctx(catalog: DomainCatalog, text: str) -> Context:
 def table(catalog: DomainCatalog, names: list[str], values) -> Table:
     vars = tuple(catalog.index(n) for n in names)
     return catalog.table(vars, values)
+
+
+def lookup(t: Table, assignment) -> float:
+    """Entry of ``t`` at a full assignment of its variables."""
+    return float(t.array[tuple(assignment[v] for v in t.vars)])
+
+
+def elimination_for(counters: CostCounters, variable: int) -> EliminationRecord:
+    """The record of ``variable``'s elimination in ``counters``."""
+    for rec in counters.eliminations:
+        if rec.variable == variable:
+            return rec
+    raise KeyError(f"no elimination recorded for variable {variable}")
 
 
 def residual(catalog: DomainCatalog, r: Confactor, c: Context, counters=None, order=None):
@@ -282,7 +299,7 @@ def brute_posterior(net: ContextualBeliefNetwork, query, obs=None) -> np.ndarray
             ]
             assert len(applicable) == 1
             r = applicable[0]
-            prob *= r.table.lookup({v: combo[v] for v in r.table.vars})
+            prob *= lookup(r.table, {v: combo[v] for v in r.table.vars})
         out[tuple(combo[v] for v in query)] += prob
     return out / out.sum()
 
@@ -296,6 +313,61 @@ def answer_paths():
     }
     paths["enum"] = enum_query
     return paths
+
+
+class WholeSetSplit(Engine):
+    """Reference elimination loop: each step splits the whole working set,
+    in order, into ``y``'s bucket (the items that mention ``y``) and the
+    rest, hands the bucket to ``step`` with the rest as the live set, and
+    puts the created items after the rest.  Every step scans every item, so
+    a query costs time quadratic in the network's size; ``Engine.eliminate``
+    must give the same buckets in the same order.  ``items`` is a plain
+    list here, not ``Engine``'s filed live set."""
+
+    items = None
+
+    def eliminate(self, y):
+        bucket, rest = [], []
+        for item in self.items:
+            (bucket if y in item.vars else rest).append(item)
+        self.live = {id(item): item for item in rest}
+        created, created_sizes, step_size = self.step(y, bucket) if bucket else ([], (), 0)
+        self.items = rest + created
+        self.counters.record_elimination(y, created_sizes, step_size)
+
+
+def whole_set_split(cls):
+    """``cls`` running :class:`WholeSetSplit`'s loop.  The loop comes after
+    ``cls`` in the method order, so an ``eliminate`` override of ``cls``
+    (``cve``'s audit) still runs around it."""
+    return type(f"WholeSetSplit{cls.__name__}", (cls, WholeSetSplit), {})
+
+
+def fingerprint(item):
+    """A hashable, bitwise description of a working-set item: a table, a
+    confactor or a grouped factor."""
+    if isinstance(item, Table):
+        return item.vars, item.array.shape, item.array.tobytes()
+    if isinstance(item, GroupedFactor):
+        return item.vars, item.size, tuple(fingerprint(r) for r in item.members)
+    return tuple(item.body.items()), fingerprint(item.table), item.for_vars, item.pure_for
+
+
+def recording(cls):
+    """``cls`` keeping, in ``trace``, the fingerprints of its working set
+    after ``begin`` and after every elimination."""
+
+    class Recording(cls):
+        def begin(self, obs=None):
+            self.trace = []
+            super().begin(obs)
+            self.trace.append([fingerprint(item) for item in self.items])
+
+        def eliminate(self, y):
+            super().eliminate(y)
+            self.trace.append([fingerprint(item) for item in self.items])
+
+    return Recording
 
 
 def find_confactor(items, catalog, body_text):

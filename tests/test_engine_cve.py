@@ -200,6 +200,7 @@ class TestConstants:
             ],
         )
         eng = ENGINES[engine](net)
+        eng.order = [a]
         eng.begin(Context([(b, 1)]))
         with pytest.raises(ZeroEvidenceError, match="probability zero"):
             eng.eliminate(a)
@@ -208,6 +209,7 @@ class TestConstants:
 def eliminated(net, var_name):
     """An audited engine after eliminating one variable with no evidence."""
     engine = ContextualVE(net, audit=True)
+    engine.order = [net.catalog.index(var_name)]
     engine.begin()
     engine.eliminate(net.catalog.index(var_name))
     return engine
@@ -313,6 +315,7 @@ class TestAudit:
             cat, [[Confactor(Context(), prior)], [Confactor(Context(), uniform)]]
         )
         engine = ContextualVE(net)
+        engine.order = [y]
         stray = Confactor(Context(), uniform, frozenset({y}))
         engine.items = [Confactor(Context(), prior, frozenset({y})), stray]
         with pytest.raises(InvariantError, match="tracked for a variable it does not involve"):
@@ -413,6 +416,7 @@ class TestSumOutOps:
 class TestEliminateReferenceNetworks:
     def eliminate(self, net, var_name, **flags):
         engine = ContextualVE(net, **flags)
+        engine.order = [net.catalog.index(var_name)]
         engine.begin()
         before = {id(r) for r in engine.items}
         engine.eliminate(net.catalog.index(var_name))

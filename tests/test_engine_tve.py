@@ -37,7 +37,9 @@ from conftest import (
     brute_posterior,
     contextual_mixed_network,
     ctx,
+    elimination_for,
     find_confactor,
+    lookup,
     random_evidence,
     table,
 )
@@ -57,8 +59,8 @@ class TestTveMultiply:
         out = tve_multiply(cat, g1, g2)
         assert len(out.members) == 1
         got = out.members[0].table
-        assert got.lookup(
-            {cat.index("b"): T, cat.index("e"): T, cat.index("z"): T}
+        assert lookup(
+            got, {cat.index("b"): T, cat.index("e"): T, cat.index("z"): T}
         ) == pytest.approx(0.4235)
 
     def test_incompatible_members_vanish(self, tree_net):
@@ -117,8 +119,8 @@ class TestTveMultiply:
                     if all(full.get(v) == val for v, val in m.body.items())
                 ]
                 assert len(hits) == 1
-                arr[combo] = hits[0].table.lookup(
-                    {v: combo[v] for v in hits[0].table.vars}
+                arr[combo] = lookup(
+                    hits[0].table, {v: combo[v] for v in hits[0].table.vars}
                 )
             return arr
 
@@ -178,9 +180,10 @@ class TestGroupSizes:
         cat = hvac_net.catalog
         ot = cat.index("ot")
         engine = TreeVE(hvac_net)
+        engine.order = [ot]
         engine.begin()
         engine.eliminate(ot)
-        rec = engine.counters.elimination_for(ot)
+        rec = elimination_for(engine.counters, ot)
         assert rec.size == 72
         merged = [g for g in engine.items if cat.index("fh") in g.vars]
         assert len(merged) == 1
@@ -195,9 +198,10 @@ class TestGroupSizes:
         cat = hvac_net.catalog
         ot = cat.index("ot")
         engine = TabularVE(hvac_net)
+        engine.order = [ot]
         engine.begin()
         engine.eliminate(ot)
-        rec = engine.counters.elimination_for(ot)
+        rec = elimination_for(engine.counters, ot)
         assert max(rec.created) == 128
         assert engine.counters.max_table_size == 128
 
@@ -207,7 +211,7 @@ class EagerTreeVE(TreeVE):
     of a bucket went lazy.  Every group of the bucket is multiplied in with
     ``tve_multiply`` and ``y`` is summed out of the merged group."""
 
-    def step(self, y, bucket, rest):
+    def step(self, y, bucket):
         merged = self._merge(bucket)
         members = sum_out_members(
             self.net.catalog,
@@ -284,6 +288,7 @@ class TestLazyLastProduct:
             families.append(from_skeleton(cat, x, [(Context(), cpt((*vs, x)))]))
         net = ContextualBeliefNetwork(cat, families)
         engine = TreeVE(net)
+        engine.order = [y]
         engine.begin()
         tracemalloc.start()
         try:

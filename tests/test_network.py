@@ -28,6 +28,7 @@ from conftest import (
     ctx,
     dense_e_rows,
     hvac_network,
+    lookup,
     table,
     tree_catalog,
     tree_network,
@@ -44,7 +45,7 @@ def test_dense_expansion_matches_row_table(tree_net):
     assert dense.vars == tuple(cat.index(n) for n in ["a", "b", "c", "d", "e"])
     for (a, b, c, d), p in dense_e_rows().items():
         assignment = dict(zip(dense.vars, (a, b, c, d, T)))
-        assert dense.lookup(assignment) == pytest.approx(p)
+        assert lookup(dense, assignment) == pytest.approx(p)
 
 
 def test_scopes_and_sizes_need_no_dense_expansion():
@@ -228,8 +229,8 @@ class TestFromTabular:
         )
         for combo in itertools.product((T, F), repeat=3):
             assignment = dict(zip(dense.vars, combo + (T,)))
-            assert rebuilt.tabular_factor(d).lookup(assignment) == pytest.approx(
-                dense.lookup(assignment)
+            assert lookup(rebuilt.tabular_factor(d), assignment) == pytest.approx(
+                lookup(dense, assignment)
             )
 
 

@@ -28,7 +28,14 @@ from ctxve import (
 from ctxve import network, orders
 from ctxve.orders import relevant_variables
 
-from conftest import alternating_emissions, binary_hmm
+from conftest import (
+    alternating_emissions,
+    binary_hmm,
+    fingerprint,
+    random_evidence,
+    recording,
+    whole_set_split,
+)
 
 
 def ancestral_set(net, query_vars, obs):
@@ -317,6 +324,104 @@ class TestBarrenPruning:
         for order in (None, free, free[::-1]):
             posterior = ContextualVE(net, audit=True).query([q], obs, order)
             assert posterior.max_abs_diff(oracle) < 1e-12, order
+
+
+def bucket_cases():
+    """(network, query, evidence, order) cases for the bucket-elimination
+    equivalence: random and biased networks with contexts and extra
+    parents, context-only (p = 0) and context-free (s = 0), each queried
+    with the default order and with a user order that also lists every
+    barren unobserved variable, shuffled in."""
+    rng = SplitMix64(26)
+    for seed in range(5):
+        for generate in (generate_random_cbn, generate_biased_cbn):
+            for s, p in ((4, 0.3), (5, 0.0), (0, 0.4)):
+                net = generate(GenConfig(n=9, s=s, p=p, seed=seed))
+                query = rng.below(9)
+                obs = random_evidence(net, rng, query)
+                yield net, [query], obs, None
+                order = [v for v in range(9) if v != query and v not in obs]
+                for i in range(len(order) - 1, 0, -1):
+                    j = rng.below(i + 1)
+                    order[i], order[j] = order[j], order[i]
+                yield net, [query], obs, order
+
+
+class TestBucketElimination:
+    """``Engine.eliminate`` files each item once, under the first variable
+    of the order that it mentions; the whole-set split it replaced stays in
+    ``conftest`` as the reference."""
+
+    @pytest.mark.parametrize(
+        "engine, audit",
+        [("ve", False), ("cve", False), ("cve", True), ("tve", False)],
+        ids=["ve", "cve", "cve-audit", "tve"],
+    )
+    def test_buckets_match_the_whole_set_split(self, engine, audit):
+        flags = {"audit": True} if audit else {}
+        barren_steps = 0
+        for net, query, obs, order in bucket_cases():
+            got_engine = recording(ENGINES[engine])(net, **flags)
+            want_engine = recording(whole_set_split(ENGINES[engine]))(net, **flags)
+            got = got_engine.query(query, obs, order)
+            want = want_engine.query(query, obs, order)
+            assert got_engine.order == want_engine.order
+            # the working set after begin and after every step, in order
+            assert got_engine.trace == want_engine.trace
+            assert got_engine.counters.eliminations == want_engine.counters.eliminations
+            assert got_engine.counters == want_engine.counters
+            assert got.vars == want.vars
+            assert got.probabilities.tobytes() == want.probabilities.tobytes()
+            barren_steps += len(set(got_engine.order) - set(got_engine.relevant))
+        assert barren_steps > 0
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_eliminating_out_of_turn_touches_nothing(self, engine):
+        net = binary_hmm(3)  # h1, e1, h2, e2, h3, e3
+        eng = ENGINES[engine](net)
+        eng.order = [0, 2]
+        eng.begin(Context([(1, 0)]))
+        before = [id(item) for item in eng.items]
+        # outside the order, out of turn, and no variable at all
+        for y in (4, 2, 7):
+            with pytest.raises(ValueError, match="out of turn"):
+                eng.eliminate(y)
+            assert [id(item) for item in eng.items] == before
+            assert eng.counters.eliminations == []
+        eng.eliminate(0)
+        eng.eliminate(2)
+        for y in (0, 2, 4):  # the order is done: again, or past its end
+            with pytest.raises(ValueError, match="out of turn"):
+                eng.eliminate(y)
+        assert [rec.variable for rec in eng.counters.eliminations] == [0, 2]
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_assigning_items_files_them_afresh(self, engine):
+        net = binary_hmm(3)
+        obs = alternating_emissions(3)
+        engines = [ENGINES[engine](net), whole_set_split(ENGINES[engine])(net)]
+        for eng in engines:
+            eng.order = [0]
+            eng.begin(obs)
+        got, want = engines
+        got.order = [2, 0]
+        with pytest.raises(ValueError, match="out of turn"):
+            got.eliminate(2)  # still filed under the order begin saw
+        reordered = got.items[::-1]
+        got.items = reordered
+        assert [id(item) for item in got.items] == [id(item) for item in reordered]
+        want.order = [2, 0]
+        want.items = want.items[::-1]
+        for y in (2, 0):
+            got.eliminate(y)
+            want.eliminate(y)
+            assert [fingerprint(i) for i in got.items] == [fingerprint(i) for i in want.items]
+        assert got.counters == want.counters
+        item = got.items[0]
+        with pytest.raises(ValueError, match="twice"):
+            got.items = [item, item]
+        with pytest.raises(ValueError, match="constant"):
+            got.items = [item, Table.scalar(0.5)]
 
 
 class TestLongChain:

@@ -22,7 +22,7 @@ from ctxve.network import to_document
 from ctxve.structure import _collapse_redundant
 from ctxve.tables import set_table
 
-from conftest import ctx, table, tree_catalog, tree_network
+from conftest import ctx, lookup, table, tree_catalog, tree_network
 
 
 def dense_e(cat):
@@ -170,8 +170,8 @@ class TestCompression:
                 # compare against the midpoint value before renormalization:
                 # rescale the leaf back by its own residual is unavailable,
                 # so check the normalized leaf stays near the original row
-                got = r.table.lookup(
-                    {v: (combo[v] if v != x else 0) for v in r.table.vars}
+                got = lookup(
+                    r.table, {v: (combo[v] if v != x else 0) for v in r.table.vars}
                 )
                 want = arr[combo][0]
                 assert abs(got - want) <= cfg.threshold / 2 + residual + 1e-9

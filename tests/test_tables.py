@@ -25,7 +25,7 @@ from ctxve import tables
 from ctxve.counters import CostCounters
 from ctxve.tables import multiply_all, multiply_all_sum_out
 
-from conftest import F, T, ctx, dense_e_rows, table, tree_catalog
+from conftest import F, T, ctx, dense_e_rows, lookup, table, tree_catalog
 
 
 @pytest.fixture
@@ -161,8 +161,8 @@ class TestProduct:
         t5 = table(cat, ["b", "z"], [0.77, 0.17, 0.23, 0.83])
         got = product(t1, t5)
         assert set(got.vars) == {cat.index("b"), cat.index("e"), cat.index("z")}
-        assert got.lookup(
-            {cat.index("b"): T, cat.index("e"): T, cat.index("z"): T}
+        assert lookup(
+            got, {cat.index("b"): T, cat.index("e"): T, cat.index("z"): T}
         ) == pytest.approx(0.4235)
 
     def test_scalar_one_is_identity(self, cat):
@@ -191,7 +191,7 @@ class TestSumOut:
             table(cat, ["b", "z"], [0.77, 0.17, 0.23, 0.83]),
         )
         got = sum_out(prod, cat.index("b"))
-        assert got.lookup({cat.index("e"): T, cat.index("z"): T}) == pytest.approx(0.4925)
+        assert lookup(got, {cat.index("e"): T, cat.index("z"): T}) == pytest.approx(0.4925)
 
     def test_conditional_sums_to_ones(self, cat):
         t1 = table(cat, ["b", "e"], [0.55, 0.45, 0.3, 0.7])
@@ -223,7 +223,7 @@ class TestAddTables:
         got = add_tables(
             product(Table.scalar(0.29), t3), product(Table.scalar(0.71), t4)
         )
-        assert got.lookup({cat.index("b"): T, cat.index("e"): T}) == pytest.approx(0.36225)
+        assert lookup(got, {cat.index("b"): T, cat.index("e"): T}) == pytest.approx(0.36225)
 
     def test_zero_table_is_identity(self, cat):
         f = table(cat, ["b", "e"], [0.55, 0.45, 0.3, 0.7])
@@ -237,9 +237,9 @@ class TestAddTables:
         got = add_tables(t3, t5)
         b, e, z = cat.index("b"), cat.index("e"), cat.index("z")
         for vb, ve, vz in itertools.product((T, F), repeat=3):
-            want = t3.lookup({b: vb, e: ve}) + t5.lookup({b: vb, z: vz})
-            assert got.lookup({b: vb, e: ve, z: vz}) == pytest.approx(want)
-        assert got.lookup({b: T, e: T, z: T}) == pytest.approx(0.795)
+            want = lookup(t3, {b: vb, e: ve}) + lookup(t5, {b: vb, z: vz})
+            assert lookup(got, {b: vb, e: ve, z: vz}) == pytest.approx(want)
+        assert lookup(got, {b: T, e: T, z: T}) == pytest.approx(0.795)
 
 
 def test_layout_last_variable_fastest(cat):
@@ -248,7 +248,7 @@ def test_layout_last_variable_fastest(cat):
     t = cat.table(vars, flat)
     for i, (va, vb, vc) in enumerate(itertools.product((0, 1), repeat=3)):
         assert t.flat[i] == flat[i]
-        assert t.lookup({vars[0]: va, vars[1]: vb, vars[2]: vc}) == flat[i]
+        assert lookup(t, {vars[0]: va, vars[1]: vb, vars[2]: vc}) == flat[i]
 
 
 # Randomized-oracle coverage: every primitive against cell-by-cell
@@ -280,10 +280,10 @@ def test_product_and_add_match_enumeration(data):
     union = sorted(set(vars1) | set(vars2))
     for combo in itertools.product(*(range(cat.size(v)) for v in union)):
         assignment = dict(zip(union, combo))
-        a = f1.lookup({v: assignment[v] for v in vars1})
-        b = f2.lookup({v: assignment[v] for v in vars2})
-        assert prod.lookup(assignment) == pytest.approx(a * b, abs=1e-9)
-        assert added.lookup(assignment) == pytest.approx(a + b, abs=1e-9)
+        a = lookup(f1, {v: assignment[v] for v in vars1})
+        b = lookup(f2, {v: assignment[v] for v in vars2})
+        assert lookup(prod, assignment) == pytest.approx(a * b, abs=1e-9)
+        assert lookup(added, assignment) == pytest.approx(a + b, abs=1e-9)
     # non-negativity is preserved
     assert (prod.array >= 0).all() and (added.array >= 0).all()
 
@@ -383,8 +383,8 @@ def test_sum_out_distributes_over_product(data):
     union = sorted(set(vars1) | set(vars2) - {y})
     for combo in itertools.product(*(range(cat.size(v)) for v in union)):
         assignment = dict(zip(union, combo))
-        assert lhs.lookup(assignment) == pytest.approx(
-            rhs.lookup(assignment), abs=1e-9
+        assert lookup(lhs, assignment) == pytest.approx(
+            lookup(rhs, assignment), abs=1e-9
         )
 
 
